@@ -1,14 +1,17 @@
 // Shared helpers for the per-table / per-figure benchmark harnesses.
 //
 // Every bench prints the rows/series of one paper table or figure.
-// Absolute numbers differ from the paper (simulated-MPI substrate on
-// one core; see DESIGN.md §2) — the *shape* (who wins, by what factor,
+// Absolute numbers differ from the paper (simulated-MPI substrate: all
+// ranks are threads sharing one host's CPUs; see DESIGN.md §2) — the
+// *shape* (who wins, by what factor,
 // where crossovers fall) is the reproduction target. EXPERIMENTS.md
 // records paper-vs-measured per experiment.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/xtrapulp.hpp"
@@ -27,10 +30,10 @@ struct RunResult {
   double init_seconds = 0.0;
   count_t comm_bytes = 0;     ///< summed over ranks
   /// Max per-rank share of adjacency work, relative to perfect balance
-  /// (1.0 = ideal). On this single-core substrate wall-clock cannot
-  /// show parallel speedup, so the scaling figures report this work
-  /// distribution: the quantity that actually halves per rank doubling
-  /// on real hardware.
+  /// (1.0 = ideal). Simulated ranks share the host's few CPUs, so
+  /// wall-clock stops showing speedup once ranks outnumber them; the
+  /// scaling figures therefore report this work distribution: the
+  /// quantity that actually halves per rank doubling on real hardware.
   double work_balance = 1.0;
   /// Max per-rank adjacency bytes resident in memory during the run:
   /// the full CSR arrays in-core, or the segment-cache frame pool when
@@ -156,6 +159,11 @@ class Table {
   std::vector<std::pair<std::string, int>> columns_;
   std::size_t at_ = 0;
 };
+
+/// CPUs the simulated ranks share (every rank is a thread on this host).
+inline unsigned host_cpus() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 inline void section(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());

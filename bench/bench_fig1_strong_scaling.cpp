@@ -53,10 +53,12 @@ int main() {
     }
   }
   std::printf(
-      "\nNote: one physical core underlies all simulated ranks, so wall\n"
-      "time cannot drop with rank count here; 'work-imb' is the max\n"
-      "per-rank share of adjacency work relative to perfect balance --\n"
-      "the quantity whose near-1.0 flatness makes the paper's strong\n"
-      "scaling possible (RMAT's hub skew shows up directly).\n");
+      "\nNote: all simulated ranks are threads sharing this host's %u\n"
+      "CPUs, so wall time stops dropping once ranks outnumber them;\n"
+      "'work-imb' is the max per-rank share of adjacency work relative\n"
+      "to perfect balance -- the quantity whose near-1.0 flatness makes\n"
+      "the paper's strong scaling possible (RMAT's hub skew shows up\n"
+      "directly).\n",
+      bench::host_cpus());
   return 0;
 }

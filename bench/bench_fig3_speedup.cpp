@@ -39,8 +39,9 @@ int main() {
     }
   }
   std::printf(
-      "\nSingle-core substrate: wall time cannot drop with rank count;\n"
-      "'work-imb' near 1.0 is what yields the paper's Fig 3 speedups on\n"
-      "real nodes (see EXPERIMENTS.md).\n");
+      "\nAll ranks share this host's %u CPUs: wall time stops dropping\n"
+      "once ranks outnumber them; 'work-imb' near 1.0 is what yields\n"
+      "the paper's Fig 3 speedups on real nodes (see EXPERIMENTS.md).\n",
+      bench::host_cpus());
   return 0;
 }

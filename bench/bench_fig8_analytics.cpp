@@ -13,10 +13,9 @@
 // All eight workloads (the paper's six plus the engine-native SSSP
 // and triangle count) run through the unified vertex-program engine:
 // one engine::Config built from core::Params carries every transport
-// knob (shard policy, chunk size, pipeline depth, coalescing cadence,
-// intra-rank threads) into every kernel — XTRA_PIPELINE_DEPTH /
-// XTRA_SHARD_HIER / XTRA_COALESCE_EVERY / XTRA_THREADS select them
-// without recompiling.
+// knob (shard policy, chunk size, coalescing cadence, intra-rank
+// threads) into every kernel — XTRA_SHARD_HIER / XTRA_COALESCE_EVERY /
+// XTRA_THREADS select them without recompiling.
 #include <cstdlib>
 #include <memory>
 
@@ -51,12 +50,9 @@ int main() {
   const auto n = static_cast<xtra::gid_t>(60'000 * scale);
   const int nranks = 8;
   // Analytics knobs ride core::Params -> engine::Config: every kernel
-  // inherits the pipeline depth, shard policy, and coalescing cadence
-  // uniformly. Defaults keep the runs bit-comparable with earlier
+  // inherits the shard policy and coalescing cadence uniformly. Defaults keep the runs bit-comparable with earlier
   // figures. The same Params seeds the XtraPuLP strategy below.
   core::Params apar;
-  if (const char* pd = std::getenv("XTRA_PIPELINE_DEPTH"))
-    apar.pipeline_depth = std::atoi(pd);
   if (const char* sh = std::getenv("XTRA_SHARD_HIER"))
     if (std::atoi(sh) != 0)
       apar.shard_policy = comm::ShardPolicy::kHierarchical;
@@ -193,11 +189,13 @@ int main() {
   }
   std::printf(
       "\n'total' includes partitioning time, as in the paper's end-to-end\n"
-      "comparison. On this one-core substrate computation dominates, so\n"
-      "analytic times differ by less than the comm column; on the paper's\n"
-      "cluster communication dominates and the comm-volume ordering above\n"
-      "(XtraPuLP < blocks < random) is what becomes the ~30%% end-to-end\n"
-      "win. Partitioning time here is also ~nranks x a real cluster's\n"
-      "(all ranks share the core).\n");
+      "comparison. On this shared-memory substrate communication is a\n"
+      "memcpy and computation dominates, so analytic times differ by less\n"
+      "than the comm column; on the paper's cluster communication\n"
+      "dominates and the comm-volume ordering above (XtraPuLP < blocks <\n"
+      "random) is what becomes the ~30%% end-to-end win. All ranks share\n"
+      "this host's %u CPUs, so partitioning time here exceeds a real\n"
+      "cluster's once ranks outnumber them.\n",
+      bench::host_cpus());
   return 0;
 }

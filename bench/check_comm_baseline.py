@@ -22,16 +22,7 @@ every commlp_coalesced row must issue strictly fewer collectives per
 superstep than its commlp_uncoalesced twin — batching per-destination
 label updates across supersteps exists to amortize per-superstep
 collective overhead, and a row that stops doing so is a regression
-even when it stays inside the baseline tolerance. The pipelined
-analytics rows keep bytes and collectives per superstep flat across
-depths — the pipeline changes when arrivals land, not what travels —
-and additionally carry a pipeline-depth contract: every depth-2 row
-(halo_pipeline_d2, pagerank_pipelined_d2, commlp_pipelined_d2) must
-report strictly less exposed_wire_seconds_per_iter than its depth-1
-twin, because two supersteps of compute hide more of each modeled
-transfer than one. Exposure is never part of the baseline tolerance
-compare — its overlap credit is wall clock, so only the within-run
-depth ordering is gated, not its absolute value.
+even when it stays inside the baseline tolerance.
 
 The one-sided rows (*_onesided twins of halo_exchange and the engine
 rows) carry another absolute contract: pull-mode must move no more
@@ -39,20 +30,7 @@ wire bytes per iteration than the two-sided twin, and must actually
 bill one-sided traffic (a zero one_sided_bytes_per_iter means the
 backend knob silently fell back to push mode).
 
-The unified engine carries a third absolute contract: the
-pagerank_engine / commlp_engine rows (kernels executed directly via
-engine::run with an explicit Config) must move no more bytes or
-collectives per superstep than the pagerank_blocking /
-commlp_uncoalesced rows, which run the same workload through the
-legacy-named analytics:: wrappers. Both paths execute the engine
-today, so this pins the *wrapper layer* against diverging from a
-direct engine::run (a wrapper that grows extra collectives or
-mis-maps a knob fails here); the guard against the engine itself
-regressing relative to the pre-engine hand-rolled kernels is the
-frozen baseline numbers, which were recorded from those kernels and
-verified drift-free at the migration.
-
-The MPI+X rows carry a fourth absolute contract: every *_tN row
+The MPI+X rows carry a third absolute contract: every *_tN row
 (N > 1 intra-rank threads) must match its *_t1 twin EXACTLY on every
 wire metric — bytes, collectives, and the topology split. The thread
 width is a pure throughput knob by design (DESIGN.md §6); any drift
@@ -60,7 +38,7 @@ means a worker thread raced the wire accounting, and no baseline
 tolerance excuses it.
 
 The out-of-core rows (pagerank_segcache_q25 / _q100 and their _nopf
-twins) carry a fifth absolute contract: every prefetch-on row must
+twins) carry a fourth absolute contract: every prefetch-on row must
 report strictly lower seg_stall_seconds than its prefetch-off twin and
 must land at least one prefetch hit — the superstep-driven plan exists
 to convert demand stalls into overlap, and both runs see the same
@@ -116,13 +94,6 @@ COMPARED = ("bytes_per_iter", "collectives_per_iter",
 HIER_PAIRS = ("sharded_updates_hier", "sharded_updates_flat")
 HIER_MIN_RANKS = 16
 COALESCE_PAIRS = ("commlp_coalesced", "commlp_uncoalesced")
-# Engine rows (direct engine::run) vs the legacy-named wrapper rows
-# running the same workload: pins the wrapper layer to a direct
-# engine::run (see the docstring). Keyed engine-row -> twin-row bench
-# name; nranks/max_send_bytes must match.
-ENGINE_TWINS = {"pagerank_engine": "pagerank_blocking",
-                "commlp_engine": "commlp_uncoalesced"}
-ENGINE_SLACK = 1.001  # strict equality modulo float formatting
 # MPI+X rows: "<workload>_threads_tN". N > 1 rows must equal the _t1
 # twin exactly on every wire metric (threads change timing only).
 THREAD_ROW = re.compile(r"^(.+_threads)_t(\d+)$")
@@ -130,14 +101,6 @@ THREAD_METRICS = ("bytes_per_iter", "collectives_per_iter",
                   "inter_node_bytes_per_iter",
                   "intra_node_bytes_per_iter",
                   "inter_node_msgs_per_iter")
-# Pipeline-depth rows: a depth-2 row keeps two refreshes in flight, so
-# it must expose strictly less modeled wire time per iteration than its
-# depth-1 twin (same traffic, more of it hidden behind compute). Keyed
-# deep-row -> shallow-row bench name; nranks/max_send_bytes must match.
-DEPTH_PAIRS = (("halo_pipeline_d2", "halo_pipeline_d1"),
-               ("pagerank_pipelined_d2", "pagerank_pipelined"),
-               ("commlp_pipelined_d2", "commlp_pipelined_d1"))
-EXPOSED = "exposed_wire_seconds_per_iter"
 # One-sided rows: "<bench>_onesided" pulls the same payload from
 # exposure windows instead of pushing it through alltoallv. It must
 # not move more wire bytes per iteration than its two-sided twin.
@@ -292,33 +255,6 @@ def check_coalesce_contract(current):
     return failures
 
 
-def check_engine_contract(current):
-    """Direct engine::run rows may move no more bytes/collectives per
-    superstep than the wrapper-driven twins on the same workload (the
-    wrapper layer must stay a zero-cost veneer over the engine)."""
-    failures = []
-    pairs = 0
-    for key, row in current.items():
-        twin_name = ENGINE_TWINS.get(key[0])
-        if twin_name is None:
-            continue
-        twin = current.get((twin_name, key[1], key[2]))
-        if twin is None:
-            failures.append(f"{key}: no {twin_name} twin row to compare "
-                            f"against")
-            continue
-        pairs += 1
-        for metric in ("bytes_per_iter", "collectives_per_iter"):
-            e, t = (r.get(metric, 0.0) for r in (row, twin))
-            if e > t * ENGINE_SLACK:
-                failures.append(
-                    f"{key}: {metric} {e:.2f} exceeds legacy twin "
-                    f"{twin_name}'s {t:.2f}")
-    if pairs == 0:
-        failures.append("no engine-twin pairs in the current run")
-    return failures
-
-
 def check_thread_contract(current):
     """*_tN rows (N > 1) must match their *_t1 twin exactly on every
     wire metric: intra-rank threads may change timing, nothing else."""
@@ -343,38 +279,6 @@ def check_thread_contract(current):
                     f"(thread count must not touch the wire)")
     if pairs == 0:
         failures.append("no *_tN thread-twin pairs in the current run")
-    return failures
-
-
-def check_depth_contract(current):
-    """Depth-2 pipeline rows must expose strictly less modeled wire
-    time per iteration than their depth-1 twins: deeper overlap is the
-    point of the multi-channel substrate, and exposure is the metric
-    that sees it (bytes and collectives stay flat by design)."""
-    failures = []
-    pairs = 0
-    for deep_name, shallow_name in DEPTH_PAIRS:
-        for key, deep in current.items():
-            if key[0] != deep_name:
-                continue
-            shallow = current.get((shallow_name, key[1], key[2]))
-            if shallow is None:
-                failures.append(
-                    f"{key}: no {shallow_name} twin row to compare "
-                    f"against")
-                continue
-            pairs += 1
-            d, s = deep.get(EXPOSED), shallow.get(EXPOSED)
-            if d is None or s is None:
-                failures.append(f"{key}: {EXPOSED} missing from the "
-                                f"depth pair")
-            elif not d < s:
-                failures.append(
-                    f"{key}: {EXPOSED} {d:.4f} not strictly below "
-                    f"{shallow_name} twin's {s:.4f} (a deeper pipeline "
-                    f"must hide more of the same traffic)")
-    if pairs == 0:
-        failures.append("no pipeline depth-pair rows in the current run")
     return failures
 
 
@@ -661,9 +565,7 @@ def main():
 
     failures += check_hier_contract(current)
     failures += check_coalesce_contract(current)
-    failures += check_engine_contract(current)
     failures += check_thread_contract(current)
-    failures += check_depth_contract(current)
     failures += check_onesided_contract(current)
     failures += check_segcache_contract(current)
 
@@ -688,8 +590,8 @@ def main():
         sys.exit(1)
     print(f"comm baseline check passed: {len(baseline)} rows within "
           f"{args.tolerance:.0%}; hierarchical inter-node, coalesced "
-          f"commLP, engine-twin, thread-twin, pipeline-depth, "
-          f"one-sided, and segcache-prefetch contracts held" + serving
+          f"commLP, thread-twin, one-sided, and segcache-prefetch "
+          f"contracts held" + serving
           + parity)
 
 

@@ -10,8 +10,8 @@
 // (engine/engine.hpp): the preferred API is
 //   engine::run(comm, g, program, engine::Config{...})
 // with the program structs of analytics/programs.hpp, which inherits
-// every transport knob (shard policy, chunk size, pipeline depth,
-// coalescing) uniformly. The entry points below are kept as thin
+// every transport knob (shard policy, chunk size, coalescing)
+// uniformly. The entry points below are kept as thin
 // wrappers — bit-identical to engine::run at their default knobs —
 // for callers of the historical per-kernel signatures; composite
 // kernels (harmonic centrality, SCC) additionally take an
@@ -39,12 +39,8 @@ struct RunInfo {
 
 /// PageRank (PR): up to `iters` damped power iterations over the
 /// undirected adjacency (the paper treats all edges as undirected).
-/// `pipeline_depth` selects the cross-superstep ghost pipeline
-/// (graph::SuperstepPipeline): 0 drains each superstep's contribution
-/// exchange in-step (bit-identical to the blocking path); >= 1 carries
-/// it into the next superstep, so the rank update reads ghost
-/// contributions up to one superstep stale — the damped iteration
-/// still contracts to the same fixed point. `tol` > 0 adds a
+/// Each superstep's contribution exchange is drained in-step, so the
+/// rank update always reads fresh ghost contributions. `tol` > 0 adds a
 /// residual-based stop (sum |rank' - rank| <= tol, one allreduce per
 /// superstep); 0 keeps the fixed-iteration contract.
 struct PageRankResult {
@@ -54,7 +50,7 @@ struct PageRankResult {
 };
 PageRankResult pagerank(sim::Comm& comm, const graph::DistGraph& g,
                         int iters = 20, double damping = 0.85,
-                        int pipeline_depth = 0, double tol = 0.0);
+                        double tol = 0.0);
 
 /// Weakly connected components (WCC) via min-label hooking. `policy`
 /// routes the per-superstep ghost refresh flat or hierarchically
@@ -90,21 +86,14 @@ CommunityResult label_propagation(
 
 /// Approximate k-core decomposition (KC): iterated synchronous
 /// neighborhood h-index (Lü et al.), which converges to the exact
-/// coreness; `rounds` caps the iteration count. `pipeline_depth` as
-/// for pagerank(): at depth >= 1 the ghost refresh is delivered one
-/// round late, and since the sweep reads the previous round's
-/// snapshot, a ghost value read by the update can be up to *two*
-/// rounds old. Stale values are older (hence larger) upper bounds, so
-/// the contraction still reaches the same coreness, possibly a few
-/// rounds later; convergence additionally quiesces the in-flight
-/// decrements.
+/// coreness; `rounds` caps the iteration count.
 struct KCoreResult {
   RunInfo info;
   std::vector<count_t> core;  ///< size n_total
   count_t max_core = 0;
 };
 KCoreResult kcore_approx(sim::Comm& comm, const graph::DistGraph& g,
-                         int rounds = 20, int pipeline_depth = 0);
+                         int rounds = 20);
 
 /// Harmonic centrality (HC) of `num_sources` sampled vertices:
 /// HC(v) = sum_u 1/d(u,v). All sources run as ONE batched

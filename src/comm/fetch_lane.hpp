@@ -2,12 +2,11 @@
 // segment cache pulls edge segments through (graph/segcache.hpp).
 //
 // The top window slot is reserved for the lane so the Exchanger's
-// lowest-free window scan never collides with it: an engine run may
-// keep pipeline refreshes in flight on windows [0, kMaxWindows-2]
-// while segment fetches ride the reserved slot. The practical
-// consequence is that a one-sided pipeline under an out-of-core
-// remote backing has one fewer window to play with (effective depth
-// <= kMaxWindows - 2); exceeding it fails loudly with the substrate's
+// lowest-free window scan never collides with it: the one-sided
+// exchanges of an engine run (the halo refresh, a hierarchical
+// round, an aux exchange) take windows from the bottom while segment
+// fetches ride the reserved slot. Should the exchanges ever need
+// every window at once, the scan fails loudly with the substrate's
 // exhaustion diagnostics naming this lane's label.
 //
 // open() is collective: every rank contributes its segment blob, the

@@ -66,15 +66,6 @@ struct Params {
   /// same value required on every rank.
   comm::Backend backend = comm::Backend::kTwoSided;
 
-  /// Supersteps a pipelined ghost refresh may stay in flight in the
-  /// kernels built on graph::SuperstepPipeline (the analytics runs the
-  /// benches drive alongside partitioning). 0 drains within the
-  /// superstep — bit-identical to the blocking path; d >= 1 carries up
-  /// to d refreshes across superstep boundaries for
-  /// stale-ghost-tolerant kernels (PageRank, k-core), clamped to
-  /// graph::kMaxPipelineDepth.
-  int pipeline_depth = 0;
-
   /// Coalescing cadence for the engine-run analytics' sparse ghost
   /// refresh (engine::Config::coalesce_every): > 0 batches changed
   /// per-vertex values across that many supersteps in a

@@ -1,8 +1,8 @@
 // engine::Config — the one knob bag every vertex program runs under.
 //
-// PRs 2-4 grew the comm substrate a transport strategy at a time
-// (memory-bounded phasing, hierarchical sharding, cross-superstep
-// pipelining, coalescing), and each analytics kernel exposed whichever
+// The comm substrate grew a transport strategy at a time
+// (memory-bounded phasing, hierarchical sharding, coalescing), and
+// each analytics kernel exposed whichever
 // subset had been hand-plumbed into it. Config unifies the scattered
 // knobs so every kernel executed by engine::run inherits every
 // transport strategy; from_params() maps the partitioner-facing
@@ -37,21 +37,13 @@ struct Config {
   /// bit-identical for any value. Same value on every rank.
   count_t max_exchange_bytes = 0;
 
-  /// Supersteps a dense program's ghost refresh may stay in flight
-  /// (graph::SuperstepPipeline). 0 drains in-step — bit-identical to
-  /// the blocking exchange; d >= 1 keeps up to d refreshes in flight
-  /// across superstep boundaries (clamped to graph::kMaxPipelineDepth),
-  /// so updates may read ghosts up to d supersteps stale. Only
-  /// meaningful for dense programs.
-  int pipeline_depth = 0;
-
   /// > 0 switches a change-converging dense program's ghost refresh
   /// from a full per-superstep halo exchange to sparse changed-value
   /// updates batched in a comm::CoalescingExchanger and flushed every
   /// `coalesce_every` supersteps (and at convergence). Peers read
   /// values up to coalesce_every-1 supersteps stale between flushes;
   /// coalesce_every == 1 delivers every superstep and is bit-identical
-  /// to the full refresh. Takes precedence over pipeline_depth.
+  /// to the full refresh.
   int coalesce_every = 0;
 
   /// Residual stop for fixed-iteration dense programs (PageRank):
@@ -89,7 +81,6 @@ struct Config {
     cfg.shard_policy = p.shard_policy;
     cfg.backend = p.backend;
     cfg.max_exchange_bytes = p.max_exchange_bytes;
-    cfg.pipeline_depth = p.pipeline_depth;
     cfg.coalesce_every = p.coalesce_every;
     cfg.num_threads = p.num_threads;
     cfg.cache_budget_bytes = p.cache_budget_bytes;

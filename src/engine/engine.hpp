@@ -1,19 +1,19 @@
 // The unified vertex-program engine API — the only way analytics run.
 //
-// After PRs 2-4 each kernel in src/analytics/ hand-rolled its own
+// Before the engine, each kernel in src/analytics/ hand-rolled its own
 // superstep loop and exposed whichever transport knobs had been
 // plumbed into it by hand. The engine inverts that: a kernel is a
 // small *program* struct (its per-vertex update plus init/epilogue
 // hooks), `engine::Config` is the one knob bag (shard policy, chunk
-// size, pipeline depth, coalescing cadence, tolerance, superstep
-// cap), and `engine::run(comm, g, program, cfg)` owns the superstep
+// size, coalescing cadence, tolerance, superstep cap), and
+// `engine::run(comm, g, program, cfg)` owns the superstep
 // loop — so every comm optimization the substrate grows is inherited
 // by every kernel at once, the way RFP's uniform interface hides the
 // transport-mode choice from its callers.
 //
 // Two execution modes, dispatched on the program's shape:
 //  * dense (typename P::Value): one published value per vertex,
-//    refreshed through HaloPlan/SuperstepPipeline — or, at
+//    refreshed through HaloPlan's overlapped superstep — or, at
 //    cfg.coalesce_every > 0, as sparse changed-value records batched
 //    in a CoalescingExchanger. See engine/dense.hpp.
 //  * frontier (typename P::Notify): level-synchronous expansion of an

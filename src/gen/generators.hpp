@@ -1,9 +1,10 @@
 // Synthetic graph generators covering every graph class of Table I.
 //
 // All generators are deterministic in (parameters, seed). Sizes here
-// are scaled down from the paper's (this substrate runs on one core);
-// the *structural* properties the experiments depend on — degree
-// skew, diameter, locality of a block ordering — are preserved. See
+// are scaled down from the paper's (every simulated rank runs on one
+// small shared-memory host); the *structural* properties the
+// experiments depend on — degree skew, diameter, locality of a block
+// ordering — are preserved. See
 // DESIGN.md §2 for the substitution table.
 #pragma once
 

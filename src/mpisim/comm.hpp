@@ -1,10 +1,11 @@
 // Simulated message-passing runtime (the "MPI" substrate).
 //
 // The paper runs XtraPuLP as MPI+OpenMP on up to 8192 nodes of Blue
-// Waters. This environment has no MPI and a single core, so — per the
-// documented substitution in DESIGN.md — we provide an in-process
-// runtime with the same semantics: each *rank* is a std::thread with
-// private data, and ranks may exchange data only through the
+// Waters. This environment has no MPI and one shared-memory host (a
+// handful of CPUs), so — per the documented substitution in DESIGN.md
+// — we provide an in-process runtime with the same semantics: each
+// *rank* is a std::thread with private data, all ranks share the
+// host's CPUs, and ranks may exchange data only through the
 // collectives below. Because XtraPuLP is bulk-synchronous (local
 // compute + Alltoallv + Allreduce per iteration), running the identical
 // program over this runtime exercises the same distribution logic,
@@ -27,10 +28,10 @@
 // this reason).
 //
 // A second, one-sided surface emulates RDMA verbs: win_expose posts a
-// region of rank memory for passive-target win_get/win_put by peers,
+// region of rank memory for passive-target win_get by peers,
 // win_fence separates access epochs, win_unexpose closes the window.
-// Puts and gets are NOT collectives — they bill per-op to the origin
-// rank, the target does not participate.
+// Gets are NOT collectives — they bill per-op to the origin rank, the
+// target does not participate.
 //
 // Every collective accounts the bytes a real MPI rank would put on the
 // wire (self-destined data is free), so benches can report
@@ -39,8 +40,7 @@
 // `exposed_seconds`: an alpha-beta *modeled* transfer time, minus (for
 // the split nonblocking pair) the wall time the caller spent elsewhere
 // between start and finish. It answers "how much modeled wire time was
-// NOT hidden behind compute" — the metric the pipeline-depth CI
-// contract gates — without ever sleeping. Control collectives
+// NOT hidden behind compute" without ever sleeping. Control collectives
 // (allreduce/bcast/gather/counts) are exposure-free by convention.
 #pragma once
 
@@ -76,12 +76,10 @@ struct CommStats {
   double comm_seconds = 0.0;   ///< wall time inside collectives
   /// Modeled wire time not hidden behind compute (alpha-beta model;
   /// see the header comment). Deterministically zero-noise it is not —
-  /// the overlap credit is wall clock — but it is monotone in overlap,
-  /// which is all the depth contract needs.
+  /// the overlap credit is wall clock — but it is monotone in overlap.
   double exposed_seconds = 0.0;
   count_t one_sided_gets = 0;   ///< win_get ops issued by this rank
-  count_t one_sided_puts = 0;   ///< win_put ops issued by this rank
-  count_t one_sided_bytes = 0;  ///< get/put payload bytes (self free)
+  count_t one_sided_bytes = 0;  ///< get payload bytes (self free)
 };
 
 /// Tagged in-flight channels per rank: up to this many nonblocking
@@ -98,9 +96,8 @@ static_assert(verify::kWindowSlots == kMaxWindows);
 /// link is deliberately slow (1 MB/s, 2 ms startup) so that on the
 /// micro-bench graphs modeled wire time dwarfs per-superstep compute:
 /// exposure then degrades gracefully with overlap instead of
-/// saturating at zero, which is what lets the CI depth contract
-/// (d2 strictly below d1) hold robustly. Nothing ever sleeps on this
-/// model; it is bookkeeping only.
+/// saturating at zero. Nothing ever sleeps on this model; it is
+/// bookkeeping only.
 inline constexpr double kModelAlphaSeconds = 2e-3;
 inline constexpr double kModelBytesPerSecond = 1e6;
 inline constexpr double modeled_wire_seconds(count_t wire_bytes) {
@@ -688,11 +685,10 @@ class Comm {
   // Exposure epochs follow MPI_Win_fence semantics: win_expose opens an
   // epoch (collective), win_fence separates epochs (collective), and
   // win_unexpose closes the window (collective). Between fences, peers
-  // may win_get/win_put the exposed region passively — the target rank
-  // does not participate and per-op costs bill to the origin. The
-  // origin must not read bytes a peer may concurrently put, and the
-  // owner must not rewrite bytes a peer may concurrently get; the
-  // fences are the synchronization points, exactly as on hardware.
+  // may win_get the exposed region passively — the target rank does
+  // not participate and per-op costs bill to the origin. The owner
+  // must not rewrite bytes a peer may concurrently get; the fences are
+  // the synchronization points, exactly as on hardware.
 
   /// Lowest window not currently exposed by this rank; rank-uniform for
   /// the same reason as find_free_channel. Throws on exhaustion.
@@ -783,26 +779,10 @@ class Comm {
     // Zero-length gets are legal at any in-bounds offset and may pass a
     // null dst; skip the copy so that stays UB-free.
     if (len > 0) std::memcpy(dst, slot.base + offset, len);
-    note_one_sided(target, len, /*is_put=*/false);
+    note_one_sided(target, len);
   }
 
-  /// Passive-target write: copy `len` bytes from `src` into `target`'s
-  /// exposed region at `offset`. Not a collective; bills to this rank.
-  void win_put(int win, int target, std::size_t offset, std::size_t len,
-               const void* src) {
-    vguard("win_put");
-    if constexpr (verify::kEnabled) {
-      verify_win_access("win_put", win, target, offset, len);
-      // Counted before the copy lands so the target's mutation check
-      // stands down for any epoch containing peer puts.
-      world_->ledger().note_put(target, win);
-    }
-    const auto& slot = checked_win_slot(target, win, offset, len);
-    if (len > 0) std::memcpy(slot.base + offset, src, len);
-    note_one_sided(target, len, /*is_put=*/true);
-  }
-
-  /// Collective epoch separator: all puts/gets issued before the fence
+  /// Collective epoch separator: all gets issued before the fence
   /// complete before any rank's post-fence accesses (barrier
   /// semantics = MPI_Win_fence).
   void win_fence(int win = 0) {
@@ -810,14 +790,8 @@ class Comm {
     XTRA_ASSERT(win_active_[static_cast<std::size_t>(win)]);
     Timer t;
     vsync(verify::Op::kWinFence, win, 0, 0);
-    if constexpr (verify::kEnabled) {
-      // Between the two barriers no peer can be mid-put (they are all
-      // fenced too), so the owner-mutation check and checksum re-arm
-      // read a quiescent buffer; the second (unbilled) barrier keeps
-      // next-epoch puts from racing the re-arm.
+    if constexpr (verify::kEnabled)
       world_->ledger().window_epoch_verify(rank_, win, /*closing=*/false);
-      world_->sync();
-    }
     note(0, 0, t);
   }
 
@@ -841,8 +815,7 @@ class Comm {
     Timer t;
     vsync(verify::Op::kWinUnexpose, win, 0, 0);
     if constexpr (verify::kEnabled) {
-      // All peer accesses completed at the barrier and no new epoch
-      // can open on this window, so one barrier suffices here.
+      // All peer accesses completed at the barrier.
       world_->ledger().window_epoch_verify(rank_, win, /*closing=*/true);
       world_->ledger().window_close(rank_, win);
     }
@@ -916,9 +889,9 @@ class Comm {
   /// Collective; the benches' one-stop aggregate.
   CommStats world_stats() {
     const CommStats mine = stats();
-    std::vector<count_t> c{mine.bytes_sent,     mine.messages_sent,
-                           mine.collectives,    mine.one_sided_gets,
-                           mine.one_sided_puts, mine.one_sided_bytes};
+    std::vector<count_t> c{mine.bytes_sent, mine.messages_sent,
+                           mine.collectives, mine.one_sided_gets,
+                           mine.one_sided_bytes};
     allreduce_sum(c);
     std::vector<double> d{mine.comm_seconds, mine.exposed_seconds};
     allreduce_sum(d);
@@ -927,8 +900,7 @@ class Comm {
     out.messages_sent = c[1];
     out.collectives = c[2];
     out.one_sided_gets = c[3];
-    out.one_sided_puts = c[4];
-    out.one_sided_bytes = c[5];
+    out.one_sided_bytes = c[4];
     out.comm_seconds = d[0];
     out.exposed_seconds = d[1];
     return out;
@@ -995,7 +967,7 @@ class Comm {
       return 0;
   }
 
-  /// Epoch/bounds preconditions for win_get/win_put, as attributed
+  /// Epoch/bounds preconditions for win_get, as attributed
   /// ProtocolErrors (the XTRA_ASSERTs in checked_win_slot cover
   /// non-verify builds).
   void verify_win_access(const char* what, int win, int target,
@@ -1055,13 +1027,13 @@ class Comm {
     return slot;
   }
 
-  /// Per-op one-sided billing: gets/puts are point-to-point segments,
+  /// Per-op one-sided billing: gets are point-to-point segments,
   /// not collectives; self-target traffic is free, and remote payload
   /// exposes its beta cost (the alpha is absorbed by the epoch's
   /// collective fences, as on a doorbell-batched RDMA engine).
-  void note_one_sided(int target, std::size_t len, bool is_put) {
+  void note_one_sided(int target, std::size_t len) {
     CommStats& s = world_->stats(rank_);
-    (is_put ? s.one_sided_puts : s.one_sided_gets) += 1;
+    s.one_sided_gets += 1;
     if (target == rank_ || len == 0) return;
     s.one_sided_bytes += static_cast<count_t>(len);
     s.bytes_sent += static_cast<count_t>(len);

@@ -37,8 +37,8 @@ namespace xtra::serve {
 
 struct ServeConfig {
   /// Transport knobs for the packed frontier exchange (shard policy,
-  /// backend, max_exchange_bytes, num_threads). Pipeline/coalesce
-  /// fields are dense-mode knobs and ignored here.
+  /// backend, max_exchange_bytes, num_threads). coalesce_every is a
+  /// dense-mode knob and ignored here.
   engine::Config engine;
   /// Concurrent query slots: the packing width of a superstep. 1
   /// degenerates into per-query serial execution (the bench twin the

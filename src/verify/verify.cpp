@@ -91,9 +91,7 @@ std::string describe_fp(std::uint64_t fp) {
 }  // namespace
 
 WorldLedger::WorldLedger(int nranks)
-    : nranks_(nranks),
-      ranks_(static_cast<std::size_t>(nranks)),
-      puts_(static_cast<std::size_t>(nranks) * kWindowSlots) {}
+    : nranks_(nranks), ranks_(static_cast<std::size_t>(nranks)) {}
 
 void WorldLedger::begin(int rank, Op op, int id, std::uint64_t uniform,
                         std::uint64_t local) {
@@ -212,10 +210,6 @@ void WorldLedger::window_open(int rank, int win, const char* label, void* base,
   g.base = static_cast<const std::byte*>(base);
   g.bytes = bytes;
   g.checksum = fnv1a(base, bytes);
-  g.puts_seen =
-      puts_[static_cast<std::size_t>(rank) * kWindowSlots +
-            static_cast<std::size_t>(win)]
-          .load(std::memory_order_acquire);
   g.opened_seq = me.seq;
 }
 
@@ -223,13 +217,7 @@ void WorldLedger::window_epoch_verify(int rank, int win, bool closing) {
   RankState& me = ranks_[static_cast<std::size_t>(rank)];
   WindowGuard& g = me.windows[static_cast<std::size_t>(win)];
   if (!g.open) return;
-  const count_t puts_now =
-      puts_[static_cast<std::size_t>(rank) * kWindowSlots +
-            static_cast<std::size_t>(win)]
-          .load(std::memory_order_acquire);
-  // Peers wrote into the window this epoch — the owner's region
-  // legitimately changed, so the mutation check stands down.
-  if (puts_now == g.puts_seen && fnv1a(g.base, g.bytes) != g.checksum) {
+  if (fnv1a(g.base, g.bytes) != g.checksum) {
     std::ostringstream os;
     os << "comm verifier: exposed window buffer mutated by its owner "
        << (closing ? "before win_unexpose" : "between fences") << " on rank "
@@ -239,10 +227,6 @@ void WorldLedger::window_epoch_verify(int rank, int win, bool closing) {
        << "mid-epoch.";
     throw ProtocolError(os.str());
   }
-  if (!closing) {
-    g.checksum = fnv1a(g.base, g.bytes);
-    g.puts_seen = puts_now;
-  }
 }
 
 void WorldLedger::window_close(int rank, int win) {
@@ -250,12 +234,6 @@ void WorldLedger::window_close(int rank, int win) {
   WindowGuard& g = me.windows[static_cast<std::size_t>(win)];
   g.open = false;
   g.closed_seq = me.seq;
-}
-
-void WorldLedger::note_put(int target, int win) {
-  puts_[static_cast<std::size_t>(target) * kWindowSlots +
-        static_cast<std::size_t>(win)]
-      .fetch_add(1, std::memory_order_acq_rel);
 }
 
 std::string WorldLedger::channel_attribution(int rank, int channel) const {

@@ -32,8 +32,7 @@
 //  * In-flight aliasing: the published send payload is checksummed at
 //    start and re-verified at finish; an exposed window region is
 //    checksummed at expose and re-verified at each fence and at
-//    unexpose (skipped for epochs in which peers legitimately
-//    win_put). A mismatch means the caller mutated a buffer the wire
+//    unexpose. A mismatch means the caller mutated a buffer the wire
 //    still owned.
 //  * Thread context: every sim::Comm entry asserts the calling thread
 //    is not inside a par::for_chunks region — pool workers (and chunk
@@ -134,8 +133,7 @@ struct TraceEntry {
 /// Per-world verifier state. Lives inside detail::WorldState; every
 /// hook is keyed by rank. Each rank writes only its own slots; the
 /// fingerprint slots are double-buffered atomics read cross-rank after
-/// a barrier (the barrier is the happens-before edge), and the put
-/// counters are atomics incremented by origin ranks mid-epoch.
+/// a barrier (the barrier is the happens-before edge).
 class WorldLedger {
  public:
   explicit WorldLedger(int nranks);
@@ -161,16 +159,11 @@ class WorldLedger {
   // --- Window guards (one-sided exposure epochs) ---------------------
   void window_open(int rank, int win, const char* label, void* base,
                    std::size_t bytes);
-  /// Verify the owner did not mutate its exposed region during the
-  /// epoch that just ended (skipped when peers win_put into it), then
-  /// re-arm the checksum for the next epoch. Call between the fence's
-  /// two barriers (or after unexpose's barrier). `closing` adds the
-  /// unexpose wording.
+  /// Verify the owner did not mutate its exposed region since expose
+  /// (peers only read it, via win_get). Call after the barrier of a
+  /// fence or unexpose; `closing` adds the unexpose wording.
   void window_epoch_verify(int rank, int win, bool closing);
   void window_close(int rank, int win);
-  /// Origin-side record of a win_put into (target, win)'s current
-  /// epoch — the owner's mutation check stands down for that epoch.
-  void note_put(int target, int win);
 
   /// Diagnostic description of an open channel/window guard ("label
   /// 'x', opened at this rank's collective #n"), or "idle".
@@ -194,7 +187,6 @@ class WorldLedger {
     const std::byte* base = nullptr;
     std::size_t bytes = 0;
     std::uint64_t checksum = 0;
-    count_t puts_seen = 0;  ///< put-counter snapshot at epoch start
     std::uint64_t opened_seq = 0;
     std::uint64_t closed_seq = 0;  ///< attribution for use-after-close
   };
@@ -215,9 +207,6 @@ class WorldLedger {
 
   int nranks_ = 0;
   std::vector<RankState> ranks_;
-  /// Per-(target, window) put counters for the current epoch; origin
-  /// ranks increment, the owner snapshots at epoch boundaries.
-  std::vector<std::atomic<count_t>> puts_;
 };
 
 /// Throws ProtocolError if the calling thread is inside a

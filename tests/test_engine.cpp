@@ -1,7 +1,7 @@
 // Tests for the unified vertex-program engine (src/engine/): the
 // wrapper-vs-engine bit-identity matrix across the transport knobs
-// ({flat, hierarchical} x {two-sided, one-sided} x {pipeline depth
-// 0, 1, 2} x {coalesce 0, 1, 3}), the two engine-native workloads
+// ({flat, hierarchical} x {two-sided, one-sided} x {coalesce 0, 1,
+// 3}), the two engine-native workloads
 // against serial oracles (delta-capped SSSP vs Dijkstra, approximate
 // triangle count vs an exact serial count), and the Stats/Config
 // plumbing.
@@ -89,32 +89,22 @@ DistGraph build_graph(sim::Comm& comm, const EdgeList& el,
   return g;
 }
 
-/// The knob matrix of the ISSUE: every transport configuration the
-/// engine must drive every kernel through. Pipeline depth and
-/// coalescing are exclusive staleness regimes, so the matrix sweeps
-/// depth {0, 1, 2} at coalesce 0 and coalesce {1, 3} at depth 0 —
-/// each crossed with both routing policies and both wire backends.
+/// Every transport configuration the engine must drive every kernel
+/// through: coalesce {0 (full refresh), 1, 3}, each crossed with both
+/// routing policies and both wire backends.
 std::vector<engine::Config> knob_matrix() {
   std::vector<engine::Config> cfgs;
   for (const comm::ShardPolicy policy :
        {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical})
     for (const comm::Backend backend :
-         {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-      for (const int depth : {0, 1, 2}) {
-        engine::Config cfg;
-        cfg.shard_policy = policy;
-        cfg.backend = backend;
-        cfg.pipeline_depth = depth;
-        cfgs.push_back(cfg);
-      }
-      for (const int coalesce : {1, 3}) {
+         {comm::Backend::kTwoSided, comm::Backend::kOneSided})
+      for (const int coalesce : {0, 1, 3}) {
         engine::Config cfg;
         cfg.shard_policy = policy;
         cfg.backend = backend;
         cfg.coalesce_every = coalesce;
         cfgs.push_back(cfg);
       }
-    }
   return cfgs;
 }
 
@@ -122,8 +112,7 @@ std::string cfg_name(const engine::Config& cfg) {
   return std::string(cfg.shard_policy == comm::ShardPolicy::kFlat
                          ? "flat"
                          : "hier") +
-         (cfg.backend == comm::Backend::kOneSided ? "/1s" : "/2s") +
-         "/d" + std::to_string(cfg.pipeline_depth) + "/c" +
+         (cfg.backend == comm::Backend::kOneSided ? "/1s" : "/2s") + "/c" +
          std::to_string(cfg.coalesce_every);
 }
 
@@ -196,10 +185,10 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
 }
 
 // Community LP's majority vote is trajectory-dependent: only the
-// staleness-free cells (depth 0, coalesce <= 1) are bit-identical to
-// the wrapper; the stale cells must still converge to a valid
-// labeling on a planted-community graph.
-TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
+// staleness-free cells (coalesce <= 1) are bit-identical to the
+// wrapper; the stale cells must still converge to a valid labeling on
+// a planted-community graph.
+TEST(EngineMatrix, CommLpFullRefreshAndCoalesce1BitIdentical) {
   EdgeList el;
   el.n = 40;
   for (gid_t base : {gid_t{0}, gid_t{20}})
@@ -224,8 +213,7 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
           engine::Config run_cfg = cfg;
           run_cfg.max_supersteps = 10;
           engine::run(comm, g, p, run_cfg);
-          const bool exact =
-              cfg.pipeline_depth == 0 && cfg.coalesce_every <= 1;
+          const bool exact = cfg.coalesce_every <= 1;
           const auto global = by_gid(comm, g, p.label);
           if (comm.rank() == 0 && exact) {
             EXPECT_EQ(global, ref) << cfg_name(cfg);
@@ -241,9 +229,8 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
 }
 
 // PageRank is fixed-iteration: the transport knobs that preserve the
-// read schedule (policy, chunk size, depth 0) are bit-identical; a
-// depth-1 run reads one-superstep-stale ghost contributions but must
-// still conserve mass.
+// read schedule (policy, chunk size) are bit-identical, and a
+// residual-stopped run must conserve mass.
 TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
   const EdgeList el = gen::erdos_renyi(1'000, 8, 11);
   std::vector<double> ref;
@@ -282,16 +269,13 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
           },
           /*ranks_per_node=*/2);
     }
-  // Depth 1: stale-but-contracting — run to residual convergence,
-  // where the one-superstep ghost lag has washed out and mass is
-  // conserved (mid-run iterates are not mass-conserving by design).
+  // Residual stop: run to convergence under tol, well before the cap.
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_graph(comm, el, VertexDist::random(el.n, 4, 3));
     PageRankProgram p;
     engine::Config cfg;
     cfg.max_supersteps = 400;
-    cfg.pipeline_depth = 1;
     cfg.tol = 1e-10;
     const engine::Stats st = engine::run(comm, g, p, cfg);
     EXPECT_NEAR(p.sum, 1.0, 1e-8);
@@ -567,7 +551,7 @@ TEST(EngineStats, LedgerAndJsonExport) {
     const std::string json = st.to_json();
     for (const char* key :
          {"\"seconds\"", "\"comm_bytes\"", "\"supersteps\"",
-          "\"bytes_sent\"", "\"pipeline_carried\"", "\"seg_hits\"",
+          "\"bytes_sent\"", "\"overlapped\"", "\"seg_hits\"",
           "\"seg_misses\"", "\"seg_evictions\"", "\"seg_prefetch_hits\"",
           "\"seg_fetch_bytes\"", "\"seg_stall_seconds\""})
       EXPECT_NE(json.find(key), std::string::npos) << key;
@@ -579,14 +563,12 @@ TEST(EngineConfig, FromParamsMapsEveryKnob) {
   params.shard_policy = comm::ShardPolicy::kHierarchical;
   params.backend = comm::Backend::kOneSided;
   params.max_exchange_bytes = 1 << 14;
-  params.pipeline_depth = 2;
   params.coalesce_every = 3;
   params.cache_budget_bytes = 1 << 16;
   const engine::Config cfg = engine::Config::from_params(params);
   EXPECT_EQ(cfg.shard_policy, comm::ShardPolicy::kHierarchical);
   EXPECT_EQ(cfg.backend, comm::Backend::kOneSided);
   EXPECT_EQ(cfg.max_exchange_bytes, 1 << 14);
-  EXPECT_EQ(cfg.pipeline_depth, 2);
   EXPECT_EQ(cfg.coalesce_every, 3);
   EXPECT_EQ(cfg.cache_budget_bytes, 1 << 16);
   EXPECT_EQ(cfg.tol, 0.0);
@@ -625,9 +607,7 @@ std::vector<count_t> wire_ledger(const engine::Stats& st) {
           ex.inter_node_bytes,    ex.intra_node_bytes,
           ex.inter_node_msgs,     ex.coalesced_flushes,
           ex.overlapped,          ex.max_inflight_bytes,
-          ex.drained_incrementally, ex.pipeline_carried,
-          ex.max_pipeline_depth,    ex.one_sided_gets,
-          ex.one_sided_bytes};
+          ex.one_sided_gets,      ex.one_sided_bytes};
 }
 
 TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
@@ -769,27 +749,9 @@ TEST(EngineThreads, TriangleCountBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The engine's pipeline ledger lights up when a dense program runs at
-// depth 1 (the WCC/commLP pipeline support the engine added).
-TEST(EngineStats, PipelineCarryRecordedAtDepth1) {
-  const EdgeList el = gen::erdos_renyi(800, 8, 5);
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    WccProgram p;
-    engine::Config cfg = env_cfg();
-    cfg.pipeline_depth = 1;
-    const engine::Stats st = engine::run(comm, g, p, cfg);
-    if (comm.size() > 1) {
-      EXPECT_GT(st.exchange.pipeline_carried, 0);
-    }
-  });
-}
-
-// ISSUE acceptance: at pipeline_depth = 2 the ledger must observe two
-// refreshes genuinely in flight (max_pipeline_depth == 2), under both
-// backends. One-sided runs must also bill their pulls.
-TEST(EngineStats, MaxPipelineDepthObservedAtDepth2) {
+// Both backends drive a dense program through the same refresh; the
+// one-sided runs must bill their pulls and the ledger must export them.
+TEST(EngineStats, OneSidedRunsBillTheirPulls) {
   const EdgeList el = gen::erdos_renyi(800, 8, 5);
   for (const comm::Backend backend :
        {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
@@ -800,11 +762,8 @@ TEST(EngineStats, MaxPipelineDepthObservedAtDepth2) {
               build_graph(comm, el, VertexDist::random(el.n, 4, 3));
           WccProgram p;
           engine::Config cfg;
-          cfg.pipeline_depth = 2;
           cfg.backend = backend;
           const engine::Stats st = engine::run(comm, g, p, cfg);
-          EXPECT_GT(st.exchange.pipeline_carried, 0);
-          EXPECT_EQ(st.exchange.max_pipeline_depth, 2);
           if (backend == comm::Backend::kOneSided) {
             EXPECT_GT(st.exchange.one_sided_gets, 0);
             EXPECT_GT(st.exchange.one_sided_bytes, 0);

@@ -1,26 +1,20 @@
-// Tests for the cross-superstep pipelined execution engine: the
-// Exchanger's incremental drain (drain_one / try_finish must be
-// bit-identical to the one-shot finish for any bound and either shard
-// policy), the HaloPlan's incremental prefetch drain, the
-// SuperstepPipeline (depth 0 bit-identical to the blocking superstep;
-// depth 1 carries refreshes across supersteps and flushes to the
-// owners' last-shipped values), and the analytics that ride it:
-// PageRank and k-core at pipeline_depth 0 must match their blocking
-// references exactly, at depth 1 they must converge to the same
-// answer; commLP with coalesce_every == 1 must match the uncoalesced
-// path bit for bit.
+// Tests for the overlapped ghost refresh inside one superstep
+// (HaloPlan::overlapped_superstep: boundary sweep, prefetch, mid()
+// against the in-flight wire, interior sweep, finish) and the
+// analytics that ride it through engine::run: the overlapped
+// superstep must be bit-identical to the blocking one, serially and on
+// the rank's thread pool; PageRank and k-core must match their
+// blocking references exactly; commLP with coalesce_every == 1 must
+// match the uncoalesced path bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <cstdlib>
-#include <numeric>
+#include <functional>
 #include <string_view>
 #include <vector>
 
 #include "analytics/analytics.hpp"
-#include "comm/exchanger.hpp"
 #include "gen/generators.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/halo.hpp"
@@ -30,250 +24,19 @@
 namespace xtra {
 namespace {
 
-using comm::Exchanger;
-
 /// CI matrix hook: XTRA_TEST_BACKEND=onesided re-drives the
-/// result-correctness pipeline tests over the pull-mode transport.
-/// The exact-billing drain tests below never read this — their phase
-/// arithmetic is a per-backend contract.
+/// result-correctness tests below over the pull-mode transport.
 comm::Backend env_backend() {
   const char* v = std::getenv("XTRA_TEST_BACKEND");
   return v && std::string_view(v) == "onesided" ? comm::Backend::kOneSided
                                                 : comm::Backend::kTwoSided;
 }
 
-/// Deterministic per-(source, dest) record counts with some zero runs.
-count_t ragged_count(int src, int dst, int salt) {
-  const unsigned h = static_cast<unsigned>(src * 7919 + dst * 104729 +
-                                           salt * 1299721);
-  return static_cast<count_t>((h >> 3) % 5);  // 0..4 records
-}
-
-/// Ragged (source, dest, index)-tagged payload for rank `me`.
-void ragged_payload(int me, int nranks, int salt,
-                    std::vector<count_t>& counts,
-                    std::vector<std::uint64_t>& send) {
-  counts.assign(static_cast<std::size_t>(nranks), 0);
-  send.clear();
-  for (int d = 0; d < nranks; ++d) {
-    counts[static_cast<std::size_t>(d)] = ragged_count(me, d, salt);
-    for (count_t i = 0; i < counts[static_cast<std::size_t>(d)]; ++i)
-      send.push_back(static_cast<std::uint64_t>(me) * 1'000'000 +
-                     static_cast<std::uint64_t>(d) * 1'000 +
-                     static_cast<std::uint64_t>(i));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Exchanger::drain_one / try_finish
-
-struct DrainCase {
-  int nranks;
-  int ranks_per_node;
-  comm::ShardPolicy policy;
-};
-
-class DrainWorlds : public ::testing::TestWithParam<DrainCase> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Topologies, DrainWorlds,
-    ::testing::Values(DrainCase{4, 1, comm::ShardPolicy::kFlat},
-                      DrainCase{8, 1, comm::ShardPolicy::kFlat},
-                      DrainCase{8, 4, comm::ShardPolicy::kHierarchical},
-                      DrainCase{16, 4, comm::ShardPolicy::kHierarchical}),
-    [](const auto& inf) {
-      return std::string(inf.param.policy == comm::ShardPolicy::kFlat
-                             ? "flat"
-                             : "hier") +
-             "_ranks_" + std::to_string(inf.param.nranks) + "_rpn_" +
-             std::to_string(inf.param.ranks_per_node);
-    });
-
-TEST_P(DrainWorlds, DrainOneUntilDoneBitIdenticalToFinish) {
-  const auto [nranks, rpn, policy] = GetParam();
-  // Bounds: sub-record, one record, odd 3-record chunks, and
-  // effectively unbounded — phase counts from many to one.
-  for (const count_t bound : {count_t(0), count_t(1), count_t(8),
-                              count_t(24), count_t(1) << 20}) {
-    sim::run_world(
-        nranks,
-        [&, nranks = nranks, policy = policy](sim::Comm& comm) {
-          std::vector<count_t> counts;
-          std::vector<std::uint64_t> send;
-          ragged_payload(comm.rank(), nranks,
-                         static_cast<int>(bound % 97), counts, send);
-          std::vector<count_t> expect_rcounts;
-          const std::vector<std::uint64_t> expect =
-              comm.alltoallv(send, counts, &expect_rcounts);
-          const count_t expect_total = std::accumulate(
-              expect_rcounts.begin(), expect_rcounts.end(), count_t(0));
-
-          Exchanger ex(bound, policy);
-          ex.start(comm, send, counts);
-          // The handle owns a snapshot: the caller's buffer dies the
-          // moment start() returns, and blocking collectives may
-          // interleave between drain steps.
-          std::fill(send.begin(), send.end(), 0xDEADBEEFu);
-          send.clear();
-          send.shrink_to_fit();
-
-          // Reassemble the result purely from the consumer callback;
-          // segments must tile [0, expect_total) exactly once.
-          std::vector<std::uint64_t> assembled(
-              static_cast<std::size_t>(expect_total), 0);
-          std::vector<int> covered(static_cast<std::size_t>(expect_total),
-                                   0);
-          count_t drains = 0;
-          bool more = true;
-          while (more) {
-            more = ex.drain_one<std::uint64_t>(
-                comm, [&](int source, count_t dst_offset,
-                          std::span<const std::uint64_t> recs) {
-                  EXPECT_GE(source, 0);
-                  EXPECT_LT(source, nranks);
-                  for (std::size_t j = 0; j < recs.size(); ++j) {
-                    const auto at =
-                        static_cast<std::size_t>(dst_offset) + j;
-                    ASSERT_LT(at, assembled.size());
-                    assembled[at] = recs[j];
-                    ++covered[at];
-                  }
-                });
-            ++drains;
-            (void)comm.allreduce_sum<count_t>(1);  // interleaved collective
-          }
-          EXPECT_FALSE(ex.in_flight());
-          EXPECT_EQ(assembled, expect) << "bound=" << bound;
-          for (const int c : covered) EXPECT_EQ(c, 1);
-          EXPECT_EQ(ex.stats().exchanges, 1);
-          EXPECT_EQ(ex.stats().drained_incrementally, 1);
-
-          // The drain count is the globally agreed phase plan (the
-          // hierarchical protocol drains in one step).
-          if (policy == comm::ShardPolicy::kFlat)
-            EXPECT_EQ(drains, std::max<count_t>(ex.stats().phases, 1));
-          else
-            EXPECT_EQ(drains, 1);
-
-          // One-shot finish on a fresh engine: same wire accounting.
-          Exchanger oneshot(bound, policy);
-          std::vector<count_t> counts2;
-          std::vector<std::uint64_t> send2;
-          ragged_payload(comm.rank(), nranks,
-                         static_cast<int>(bound % 97), counts2, send2);
-          oneshot.start(comm, send2, counts2);
-          std::vector<count_t> rcounts;
-          const auto got = oneshot.finish<std::uint64_t>(comm, &rcounts);
-          EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
-                    expect);
-          EXPECT_EQ(rcounts, expect_rcounts);
-          EXPECT_EQ(oneshot.stats().phases, ex.stats().phases);
-          EXPECT_EQ(oneshot.stats().bytes_sent, ex.stats().bytes_sent);
-          EXPECT_EQ(oneshot.stats().drained_incrementally, 0);
-        },
-        rpn);
-  }
-}
-
-TEST_P(DrainWorlds, TryFinishPollsToCompletion) {
-  const auto [nranks, rpn, policy] = GetParam();
-  for (const count_t bound : {count_t(0), count_t(8), count_t(64)}) {
-    sim::run_world(
-        nranks,
-        [&, nranks = nranks, policy = policy](sim::Comm& comm) {
-          std::vector<count_t> counts;
-          std::vector<std::uint64_t> send;
-          ragged_payload(comm.rank(), nranks, 13, counts, send);
-          std::vector<count_t> expect_rcounts;
-          const std::vector<std::uint64_t> expect =
-              comm.alltoallv(send, counts, &expect_rcounts);
-
-          Exchanger ex(bound, policy);
-          const count_t plan_before = ex.phases_remaining();
-          EXPECT_EQ(plan_before, 0);  // idle
-          ex.start(comm, send, counts);
-          count_t polls = 0;
-          std::vector<count_t> rcounts;
-          std::optional<std::span<const std::uint64_t>> got;
-          while (!got.has_value()) {
-            // phases_remaining is rank-uniform and counts the polls
-            // left; it must tick down by exactly one per call.
-            const count_t left = ex.phases_remaining();
-            EXPECT_GT(left, 0);
-            got = ex.try_finish<std::uint64_t>(comm, &rcounts);
-            EXPECT_EQ(ex.phases_remaining(), left - 1);
-            ++polls;
-          }
-          EXPECT_EQ(std::vector<std::uint64_t>(got->begin(), got->end()),
-                    expect);
-          EXPECT_EQ(rcounts, expect_rcounts);
-          EXPECT_FALSE(ex.in_flight());
-          EXPECT_EQ(ex.stats().drained_incrementally, 1);
-          if (policy == comm::ShardPolicy::kFlat && bound == 0) {
-            EXPECT_EQ(polls, 1);
-          }
-        },
-        rpn);
-  }
-}
-
-TEST(DrainOne, AllEmptyExchangeDrainsInOneLocalStep) {
-  sim::run_world(4, [](sim::Comm& comm) {
-    Exchanger ex(64);
-    const std::vector<count_t> zero(4, 0);
-    ex.start(comm, static_cast<const std::uint64_t*>(nullptr), zero);
-    EXPECT_EQ(ex.phases_remaining(), 1);
-    int segs = 0;
-    const bool more = ex.drain_one<std::uint64_t>(
-        comm,
-        [&](int, count_t, std::span<const std::uint64_t>) { ++segs; });
-    EXPECT_FALSE(more);
-    EXPECT_EQ(segs, 0);
-    EXPECT_FALSE(ex.in_flight());
-    EXPECT_EQ(ex.stats().phases, 0);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// HaloPlan incremental drain + SuperstepPipeline
-
-TEST(HaloPipeline, IncrementalDrainMatchesFinishPrefetch) {
-  const graph::EdgeList el = gen::erdos_renyi(500, 8, 11);
-  for (const count_t bound : {count_t(0), count_t(8), count_t(64)}) {
-    sim::run_world(3, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, 3, 5));
-      graph::HaloPlan blocking(comm, g, comm::ShardPolicy::kFlat,
-                               env_backend());
-      graph::HaloPlan incremental(comm, g, comm::ShardPolicy::kFlat,
-                                  env_backend());
-      blocking.set_max_send_bytes(bound);
-      incremental.set_max_send_bytes(bound);
-
-      std::vector<gid_t> expect(g.n_total()), vals(g.n_total());
-      for (lid_t v = 0; v < g.n_total(); ++v)
-        expect[v] = vals[v] = g.gid_of(v);
-      for (int iter = 1; iter <= 3; ++iter) {
-        for (lid_t v = 0; v < g.n_local(); ++v) {
-          expect[v] = expect[v] * 7 + static_cast<gid_t>(iter);
-          vals[v] = vals[v] * 7 + static_cast<gid_t>(iter);
-        }
-        blocking.exchange(comm, expect);
-
-        incremental.prefetch_next(comm, vals);
-        const count_t plan = incremental.prefetch_phases_left();
-        count_t drains = 0;
-        while (incremental.drain_prefetch_one(comm, vals)) ++drains;
-        ++drains;
-        EXPECT_EQ(drains, plan);
-        ASSERT_EQ(vals, expect) << "bound=" << bound << " iter=" << iter;
-      }
-    });
-  }
-}
+// HaloPlan::overlapped_superstep
 
 /// Reference superstep: update every owned vertex, then a blocking
-/// ghost refresh — what every pipelined variant must reproduce.
+/// ghost refresh — what the overlapped superstep must reproduce.
 template <typename T, typename Fn>
 void blocking_superstep(sim::Comm& comm, graph::HaloPlan& halo,
                         const graph::DistGraph& g, std::vector<T>& vals,
@@ -282,7 +45,7 @@ void blocking_superstep(sim::Comm& comm, graph::HaloPlan& halo,
   halo.exchange(comm, vals);
 }
 
-TEST(HaloPipeline, Depth0BitIdenticalToBlockingSuperstep) {
+TEST(HaloOverlap, OverlappedSuperstepBitIdenticalToBlocking) {
   const graph::EdgeList el = gen::erdos_renyi(400, 8, 29);
   for (const comm::ShardPolicy policy :
        {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical}) {
@@ -293,10 +56,9 @@ TEST(HaloPipeline, Depth0BitIdenticalToBlockingSuperstep) {
             const auto g = graph::build_dist_graph(
                 comm, el, graph::VertexDist::random(el.n, 6, 5));
             graph::HaloPlan ref_halo(comm, g, policy, env_backend());
-            graph::HaloPlan pipe_halo(comm, g, policy, env_backend());
+            graph::HaloPlan halo(comm, g, policy, env_backend());
             ref_halo.set_max_send_bytes(bound);
-            pipe_halo.set_max_send_bytes(bound);
-            graph::SuperstepPipeline<gid_t> pipe(pipe_halo, 0);
+            halo.set_max_send_bytes(bound);
 
             std::vector<gid_t> expect(g.n_total()), vals(g.n_total());
             for (lid_t v = 0; v < g.n_total(); ++v)
@@ -305,253 +67,70 @@ TEST(HaloPipeline, Depth0BitIdenticalToBlockingSuperstep) {
               blocking_superstep(comm, ref_halo, g, expect, [&](lid_t v) {
                 expect[v] = expect[v] * 5 + static_cast<gid_t>(iter);
               });
-              pipe.superstep(
+              halo.overlapped_superstep(
                   comm, vals,
                   [&](lid_t v) {
                     vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
                   },
                   [&] { (void)comm.allreduce_sum<count_t>(1); });
-              EXPECT_FALSE(pipe.in_flight());
+              EXPECT_FALSE(halo.prefetch_in_flight());
               ASSERT_EQ(vals, expect) << "bound=" << bound;
             }
-            pipe.flush(comm, vals);  // no-op at depth 0
-            ASSERT_EQ(vals, expect);
           },
           3);
     }
   }
 }
 
-TEST(HaloPipeline, Depth1CarriesRefreshAndFlushesToOwnersValues) {
-  const graph::EdgeList el = gen::erdos_renyi(400, 8, 31);
-  for (const count_t bound : {count_t(0), count_t(8), count_t(256)}) {
-    sim::run_world(4, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, 4, 5));
-      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
-                           env_backend());
-      halo.set_max_send_bytes(bound);
-      halo.reset_stats();
-      graph::SuperstepPipeline<gid_t> pipe(halo, 1);
-      EXPECT_EQ(pipe.depth(), 1);
-
-      // update writes iteration-tagged values into owned entries only.
-      std::vector<gid_t> vals(g.n_total(), 0);
-      constexpr int kIters = 5;
-      for (int iter = 1; iter <= kIters; ++iter) {
-        pipe.superstep(
-            comm, vals,
-            [&](lid_t v) {
-              vals[v] = g.gid_of(v) * 100 + static_cast<gid_t>(iter);
-            },
-            [] {});
-        // The refresh stays in flight across the superstep boundary...
-        EXPECT_TRUE(pipe.in_flight());
-        // ...and mid-stream every ghost holds some previous
-        // superstep's value (never this one's, never garbage).
-        for (lid_t v = g.n_local(); v < g.n_total(); ++v) {
-          const gid_t age = vals[v] == 0 ? 0 : vals[v] % 100;
-          EXPECT_LT(age, static_cast<gid_t>(iter) + 1);
-        }
-      }
-      pipe.flush(comm, vals);
-      EXPECT_FALSE(pipe.in_flight());
-      // After the flush, ghosts hold the owners' last-shipped (final)
-      // values.
-      for (lid_t v = 0; v < g.n_total(); ++v)
-        EXPECT_EQ(vals[v], g.gid_of(v) * 100 + kIters);
-      // The ledger saw the carries: one per superstep after the first.
-      EXPECT_EQ(halo.stats().pipeline_carried, kIters - 1);
-      EXPECT_EQ(halo.stats().max_pipeline_depth, 1);
-      EXPECT_GT(halo.stats().drained_incrementally, 0);
-    });
-  }
-}
-
-TEST(HaloPipeline, Depth2KeepsTwoRefreshesInFlightAndFlushes) {
-  const graph::EdgeList el = gen::erdos_renyi(400, 8, 31);
-  for (const count_t bound : {count_t(0), count_t(8), count_t(256)}) {
-    sim::run_world(4, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, 4, 5));
-      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
-                           env_backend());
-      halo.set_max_send_bytes(bound);
-      halo.reset_stats();
-      graph::SuperstepPipeline<gid_t> pipe(halo, 2);
-      EXPECT_EQ(pipe.depth(), 2);
-      EXPECT_EQ(halo.pipeline_lanes(), 2);
-
-      // update writes iteration-tagged values into owned entries only.
-      std::vector<gid_t> vals(g.n_total(), 0);
-      constexpr int kIters = 5;
-      for (int iter = 1; iter <= kIters; ++iter) {
-        pipe.superstep(
-            comm, vals,
-            [&](lid_t v) {
-              vals[v] = g.gid_of(v) * 100 + static_cast<gid_t>(iter);
-            },
-            [] {});
-        // Steady state holds two refreshes on the wire at once — the
-        // point of the multi-channel substrate...
-        EXPECT_EQ(halo.prefetches_in_flight(), std::min(iter, 2));
-        // ...and mid-stream ghosts hold values at most two supersteps
-        // old (never this superstep's, never garbage).
-        for (lid_t v = g.n_local(); v < g.n_total(); ++v) {
-          const gid_t age = vals[v] == 0 ? 0 : vals[v] % 100;
-          EXPECT_LT(age, static_cast<gid_t>(iter) + 1);
-          EXPECT_GE(age, std::max(0, iter - 2));
-        }
-      }
-      pipe.flush(comm, vals);
-      EXPECT_FALSE(pipe.in_flight());
-      for (lid_t v = 0; v < g.n_total(); ++v)
-        EXPECT_EQ(vals[v], g.gid_of(v) * 100 + kIters);
-      // Every refresh but the last crossed at least one superstep
-      // boundary, and the deepest carry spanned two.
-      EXPECT_EQ(halo.stats().pipeline_carried, kIters - 1);
-      EXPECT_EQ(halo.stats().max_pipeline_depth, 2);
-      EXPECT_GT(halo.stats().drained_incrementally, 0);
-    });
-  }
-}
-
-TEST(HaloPipeline, Depth2OneSidedBitIdenticalToTwoSided) {
-  const graph::EdgeList el = gen::erdos_renyi(400, 8, 43);
+// MPI+X: the chunked parallel sweeps must land every superstep in the
+// same state as the serial order, with the same wire bytes. This is
+// also the case the CI ThreadSanitizer job hammers at threads = 8.
+TEST(HaloOverlap, ParallelSuperstepBitIdenticalToSerial) {
+  const graph::EdgeList el = gen::erdos_renyi(400, 8, 37);
   sim::run_world(4, [&](sim::Comm& comm) {
     const auto g = graph::build_dist_graph(
         comm, el, graph::VertexDist::random(el.n, 4, 5));
     constexpr int kIters = 4;
-    auto run = [&](comm::Backend backend) {
-      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat, backend);
-      graph::SuperstepPipeline<gid_t> pipe(halo, 2);
-      std::vector<std::vector<gid_t>> trace;
+    // Two sequential runs: serial records its trajectory, the parallel
+    // replay must reproduce it superstep by superstep.
+    std::vector<std::vector<gid_t>> trace;
+    count_t ref_bytes = 0;
+    {
+      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat, env_backend());
       std::vector<gid_t> vals(g.n_total());
       for (lid_t v = 0; v < g.n_total(); ++v) vals[v] = g.gid_of(v);
       for (int iter = 1; iter <= kIters; ++iter) {
-        pipe.superstep(
+        halo.overlapped_superstep(comm, vals, [&](lid_t v) {
+          vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
+        });
+        trace.push_back(vals);
+      }
+      ref_bytes = halo.stats().bytes_sent;
+    }
+    {
+      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat, env_backend());
+      std::vector<gid_t> vals(g.n_total());
+      for (lid_t v = 0; v < g.n_total(); ++v) vals[v] = g.gid_of(v);
+      par::ThreadScope threads(8);  // oversubscribes a 4-CPU host
+      for (int iter = 1; iter <= kIters; ++iter) {
+        halo.overlapped_superstep(
             comm, vals,
             [&](lid_t v) {
               vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
             },
-            [] {});
-        trace.push_back(vals);
+            [] {}, /*parallel=*/true);
+        ASSERT_EQ(vals, trace[static_cast<std::size_t>(iter - 1)])
+            << "iter=" << iter;
       }
-      pipe.flush(comm, vals);
-      trace.push_back(vals);
-      return trace;
-    };
-    const auto pushed = run(comm::Backend::kTwoSided);
-    const auto pulled = run(comm::Backend::kOneSided);
-    ASSERT_EQ(pulled, pushed);
-  });
-}
-
-// MPI+X: the parallel drive (chunked sweeps at depth 0, lid-range
-// drain groups at depth >= 1) must land every superstep in the same
-// state as the serial grouping, with the same wire bytes. This is also
-// the case the CI ThreadSanitizer job hammers at threads = 8.
-TEST(HaloPipeline, ParallelSuperstepBitIdenticalAtEveryDepth) {
-  const graph::EdgeList el = gen::erdos_renyi(400, 8, 37);
-  for (const int depth : {0, 1, 2}) {
-    sim::run_world(4, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, 4, 5));
-      constexpr int kIters = 4;
-      // Two sequential pipelines: serial records its trajectory, the
-      // parallel replay must reproduce it superstep by superstep
-      // (at depth d the carried refreshes ride d tagged channels).
-      std::vector<std::vector<gid_t>> trace;
-      count_t ref_bytes = 0;
-      {
-        graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
-                             env_backend());
-        graph::SuperstepPipeline<gid_t> pipe(halo, depth);
-        std::vector<gid_t> vals(g.n_total());
-        for (lid_t v = 0; v < g.n_total(); ++v) vals[v] = g.gid_of(v);
-        for (int iter = 1; iter <= kIters; ++iter) {
-          pipe.superstep(
-              comm, vals,
-              [&](lid_t v) {
-                vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
-              },
-              [] {});
-          trace.push_back(vals);
-        }
-        pipe.flush(comm, vals);
-        trace.push_back(vals);
-        ref_bytes = halo.stats().bytes_sent;
-      }
-      {
-        graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
-                             env_backend());
-        graph::SuperstepPipeline<gid_t> pipe(halo, depth);
-        std::vector<gid_t> vals(g.n_total());
-        for (lid_t v = 0; v < g.n_total(); ++v) vals[v] = g.gid_of(v);
-        par::ThreadScope threads(8);  // oversubscribes this container
-        for (int iter = 1; iter <= kIters; ++iter) {
-          pipe.superstep(
-              comm, vals,
-              [&](lid_t v) {
-                vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
-              },
-              [] {}, /*parallel=*/true);
-          ASSERT_EQ(vals, trace[static_cast<std::size_t>(iter - 1)])
-              << "depth=" << depth << " iter=" << iter;
-        }
-        pipe.flush(comm, vals);
-        ASSERT_EQ(vals, trace.back()) << "depth=" << depth;
-        EXPECT_EQ(halo.stats().bytes_sent, ref_bytes) << "depth=" << depth;
-      }
-    });
-  }
-}
-
-TEST(HaloPipeline, DepthClampsToSubstrateLimit) {
-  const graph::EdgeList el = gen::erdos_renyi(200, 6, 3);
-  sim::run_world(2, [&](sim::Comm& comm) {
-    const auto g = graph::build_dist_graph(
-        comm, el, graph::VertexDist::block(el.n, 2));
-    graph::HaloPlan halo(comm, g);
-    graph::SuperstepPipeline<gid_t> deep(halo, 7);
-    EXPECT_EQ(deep.depth(), graph::kMaxPipelineDepth);  // window budget
-    EXPECT_EQ(halo.pipeline_lanes(), graph::kMaxPipelineDepth);
-    graph::SuperstepPipeline<gid_t> neg(halo, -2);
-    EXPECT_EQ(neg.depth(), 0);
-  });
-}
-
-/// ASan/UBSan stress: many pipelined supersteps over a multi-phase
-/// bound, with the produce values recomputed from scratch each round
-/// and an interleaved collective — the in-flight scratch, incremental
-/// scatter, and carried staging are exactly where lifetime bugs hide.
-TEST(HaloPipeline, Depth1StressManySuperstepsSmallPhases) {
-  const graph::EdgeList el = gen::erdos_renyi(600, 10, 41);
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const auto g = graph::build_dist_graph(
-        comm, el, graph::VertexDist::random(el.n, 4, 7));
-    graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat, env_backend());
-    halo.set_max_send_bytes(sizeof(gid_t));  // one record per phase
-    graph::SuperstepPipeline<gid_t> pipe(halo, 1);
-    std::vector<gid_t> vals(g.n_total(), 1);
-    for (int iter = 1; iter <= 12; ++iter) {
-      pipe.superstep(
-          comm, vals,
-          [&](lid_t v) { vals[v] = (vals[v] * 31 + 7) % 1'000'003; },
-          [&] { (void)comm.allreduce_max<count_t>(iter); });
+      EXPECT_EQ(halo.stats().bytes_sent, ref_bytes);
     }
-    pipe.flush(comm, vals);
-    // Every ghost equals its owner's final value.
-    std::vector<gid_t> check(vals);
-    halo.exchange(comm, check);
-    EXPECT_EQ(check, vals);
   });
 }
 
 // ---------------------------------------------------------------------------
-// Analytics on the pipeline
+// Analytics on the overlapped refresh
 
-TEST(PipelinedAnalytics, PageRankDepth0BitIdenticalToBlockingReference) {
+TEST(OverlappedAnalytics, PageRankBitIdenticalToBlockingReference) {
   const graph::EdgeList el = gen::community_graph(1000, 8, 0.6, 2.3, 3);
   sim::run_world(4, [&](sim::Comm& comm) {
     const auto g = graph::build_dist_graph(
@@ -559,7 +138,7 @@ TEST(PipelinedAnalytics, PageRankDepth0BitIdenticalToBlockingReference) {
     constexpr int kIters = 15;
     constexpr double kDamping = 0.85;
 
-    // Blocking reference: the pre-pipeline formulation (contrib +
+    // Blocking reference: the non-overlapped formulation (contrib +
     // dangling in one pass, blocking halo refresh, allreduce, update).
     std::vector<double> ref_rank(g.n_total(),
                                  1.0 / static_cast<double>(g.n_global()));
@@ -590,8 +169,7 @@ TEST(PipelinedAnalytics, PageRankDepth0BitIdenticalToBlockingReference) {
       halo.exchange(comm, ref_rank);
     }
 
-    const auto pr = analytics::pagerank(comm, g, kIters, kDamping,
-                                        /*pipeline_depth=*/0);
+    const auto pr = analytics::pagerank(comm, g, kIters, kDamping);
     ASSERT_EQ(pr.rank.size(), ref_rank.size());
     for (lid_t v = 0; v < g.n_total(); ++v)
       EXPECT_EQ(pr.rank[v], ref_rank[v]) << "lid " << v;  // bit-identical
@@ -599,32 +177,7 @@ TEST(PipelinedAnalytics, PageRankDepth0BitIdenticalToBlockingReference) {
   });
 }
 
-TEST(PipelinedAnalytics, PageRankDepth1ConvergesToSameRanks) {
-  const graph::EdgeList el = gen::community_graph(800, 8, 0.6, 2.3, 7);
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const auto g = graph::build_dist_graph(
-        comm, el, graph::VertexDist::random(el.n, 4, 3));
-    // Residual-driven runs: both depths iterate until the update is
-    // far below the comparison tolerance, so the one-superstep ghost
-    // lag must wash out. The delayed iteration contracts at roughly
-    // sqrt(damping) per superstep (vs damping for depth 0), so it
-    // needs more supersteps to hit the same residual — the cap is
-    // sized for that.
-    const auto d0 = analytics::pagerank(comm, g, 400, 0.85, 0, 1e-10);
-    const auto d1 = analytics::pagerank(comm, g, 400, 0.85, 1, 1e-10);
-    EXPECT_NEAR(d0.sum, 1.0, 1e-8);
-    EXPECT_NEAR(d1.sum, 1.0, 1e-8);
-    for (lid_t v = 0; v < g.n_total(); ++v)
-      EXPECT_NEAR(d1.rank[v], d0.rank[v], 1e-7) << "lid " << v;
-    // The residual stop engaged on both (the cap did not bind), and
-    // the stale path paid extra supersteps for its overlap.
-    EXPECT_LT(d0.info.supersteps, 400);
-    EXPECT_LT(d1.info.supersteps, 400);
-    EXPECT_GE(d1.info.supersteps, d0.info.supersteps);
-  });
-}
-
-TEST(PipelinedAnalytics, KcoreDepth0BitIdenticalToBlockingReference) {
+TEST(OverlappedAnalytics, KcoreBitIdenticalToBlockingReference) {
   const graph::EdgeList el = gen::community_graph(800, 8, 0.6, 2.3, 5);
   sim::run_world(4, [&](sim::Comm& comm) {
     const auto g = graph::build_dist_graph(
@@ -663,31 +216,14 @@ TEST(PipelinedAnalytics, KcoreDepth0BitIdenticalToBlockingReference) {
       }
     }
 
-    const auto kc = analytics::kcore_approx(comm, g, kRounds,
-                                            /*pipeline_depth=*/0);
+    const auto kc = analytics::kcore_approx(comm, g, kRounds);
     ASSERT_EQ(kc.core.size(), ref.size());
     for (lid_t v = 0; v < g.n_total(); ++v)
       EXPECT_EQ(kc.core[v], ref[v]) << "lid " << v;
   });
 }
 
-TEST(PipelinedAnalytics, KcoreDepth1ReachesSameCoreness) {
-  const graph::EdgeList el = gen::community_graph(800, 8, 0.6, 2.3, 9);
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const auto g = graph::build_dist_graph(
-        comm, el, graph::VertexDist::random(el.n, 4, 5));
-    // Generous round caps: both runs converge (the depth-1 peel may
-    // take a few extra rounds), and the fixpoint — the exact coreness
-    // — is unique.
-    const auto d0 = analytics::kcore_approx(comm, g, 200, 0);
-    const auto d1 = analytics::kcore_approx(comm, g, 200, 1);
-    EXPECT_EQ(d1.max_core, d0.max_core);
-    for (lid_t v = 0; v < g.n_total(); ++v)
-      EXPECT_EQ(d1.core[v], d0.core[v]) << "lid " << v;
-  });
-}
-
-TEST(PipelinedAnalytics, CommLpCoalesceEveryOneBitIdenticalToUncoalesced) {
+TEST(OverlappedAnalytics, CommLpCoalesceEveryOneBitIdenticalToUncoalesced) {
   const graph::EdgeList el = gen::community_graph(600, 8, 0.7, 2.3, 13);
   sim::run_world(4, [&](sim::Comm& comm) {
     const auto g = graph::build_dist_graph(
@@ -705,7 +241,7 @@ TEST(PipelinedAnalytics, CommLpCoalesceEveryOneBitIdenticalToUncoalesced) {
   });
 }
 
-TEST(PipelinedAnalytics, CommLpCoalescedRecoversPlantedCommunities) {
+TEST(OverlappedAnalytics, CommLpCoalescedRecoversPlantedCommunities) {
   // Two 20-cliques and a single bridge: the planted structure must
   // survive label staleness of up to coalesce_every - 1 sweeps.
   graph::EdgeList el;
@@ -728,7 +264,7 @@ TEST(PipelinedAnalytics, CommLpCoalescedRecoversPlantedCommunities) {
   }
 }
 
-TEST(PipelinedAnalytics, CommLpCoalescedGhostsConsistentOnExit) {
+TEST(OverlappedAnalytics, CommLpCoalescedGhostsConsistentOnExit) {
   // Exit by sweep budget mid-batch: the trailing flush must still
   // deliver everything, leaving every ghost equal to its owner.
   const graph::EdgeList el = gen::erdos_renyi(500, 8, 17);

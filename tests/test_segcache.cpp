@@ -63,9 +63,8 @@ std::vector<count_t> wire_ledger(const engine::Stats& st) {
           ex.bytes_sent,          ex.inter_node_bytes,
           ex.intra_node_bytes,    ex.inter_node_msgs,
           ex.coalesced_flushes,   ex.overlapped,
-          ex.max_inflight_bytes,  ex.drained_incrementally,
-          ex.pipeline_carried,    ex.max_pipeline_depth,
-          ex.one_sided_gets,      ex.one_sided_bytes};
+          ex.max_inflight_bytes,  ex.one_sided_gets,
+          ex.one_sided_bytes};
 }
 
 // ---------------------------------------------------------------------------
@@ -301,30 +300,21 @@ std::vector<engine::Config> knob_matrix() {
   for (const comm::ShardPolicy policy :
        {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical})
     for (const comm::Backend backend :
-         {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-      for (const int depth : {0, 1, 2}) {
-        engine::Config cfg;
-        cfg.shard_policy = policy;
-        cfg.backend = backend;
-        cfg.pipeline_depth = depth;
-        cfgs.push_back(cfg);
-      }
-      for (const int coalesce : {1, 3}) {
+         {comm::Backend::kTwoSided, comm::Backend::kOneSided})
+      for (const int coalesce : {0, 1, 3}) {
         engine::Config cfg;
         cfg.shard_policy = policy;
         cfg.backend = backend;
         cfg.coalesce_every = coalesce;
         cfgs.push_back(cfg);
       }
-    }
   return cfgs;
 }
 
 std::string cfg_name(const engine::Config& cfg) {
   return std::string(cfg.shard_policy == comm::ShardPolicy::kFlat ? "flat"
                                                                   : "hier") +
-         (cfg.backend == comm::Backend::kOneSided ? "/1s" : "/2s") + "/d" +
-         std::to_string(cfg.pipeline_depth) + "/c" +
+         (cfg.backend == comm::Backend::kOneSided ? "/1s" : "/2s") + "/c" +
          std::to_string(cfg.coalesce_every);
 }
 

@@ -56,7 +56,7 @@ SOURCE_EXTS = (".cpp", ".hpp", ".cc", ".h")
 # Rule A: token -> allowed path prefixes (POSIX-style, repo-relative).
 SUBSTRATE_CALL = re.compile(
     r"\b(alltoallv(?:_bytes)?(?:_start|_finish)?|alltoall|"
-    r"win_(?:expose|unexpose|get|put|fence|meta|bytes|exposed)|"
+    r"win_(?:expose|unexpose|get|fence|meta|bytes|exposed)|"
     r"find_free_(?:channel|window))\s*(?:<[^<>]*>\s*)?\("
 )
 SUBSTRATE_ALLOWED = (
@@ -258,7 +258,7 @@ SELF_TEST_CASES = [
     ("src/core/foo.cpp", "comm.alltoallv_bytes_start(p, 8, c);\n", ["A"]),
     ("src/core/foo.cpp", "x.win_get(0, t, 0, n, dst);\n", ["A"]),
     ("src/comm/foo.cpp", "comm.alltoallv_bytes_start(p, 8, c);\n", []),
-    ("src/mpisim/foo.hpp", "win_put(0, t, 0, n, src);\n", []),
+    ("src/mpisim/foo.hpp", "win_get(0, t, 0, n, dst);\n", []),
     ("src/verify/foo.cpp", "comm.win_fence(0);\n", []),
     ("tests/test_x.cpp", "comm.win_fence(0);\n", []),
     # Rule A fires even with a waiver.
