@@ -14,32 +14,18 @@ void UpdateExchanger::run(sim::Comm& comm, const graph::DistGraph& g,
 void UpdateExchanger::start(sim::Comm& comm, const graph::DistGraph& g,
                             const std::vector<part_t>& parts,
                             const std::vector<lid_t>& queue) {
-  const int me = comm.rank();
-
-  // Pass 1 (Alg 3): count records per destination, at most one per
-  // (queued vertex, destination) — the stamp key is the queue index.
+  // Pass 1 (Alg 3): count one record per (queued vertex, holder rank).
   buckets_.begin(comm.size());
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const lid_t v = queue[qi];
+  for (const lid_t v : queue) {
     XTRA_DEBUG_ASSERT(g.is_owned(v));
-    for (const lid_t u : g.arcs(v)) {
-      const int task = g.owner_of(u);
-      if (task == me) continue;
-      buckets_.count_once(task, qi);
-    }
+    for (const int task : g.ghost_holders(v)) buckets_.count(task);
   }
   buckets_.commit();
 
   // Pass 2: fill the send buffer at prefix-summed offsets.
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const lid_t v = queue[qi];
-    const gid_t gid = g.gid_of(v);
-    const part_t part = parts[v];
-    for (const lid_t u : g.arcs(v)) {
-      const int task = g.owner_of(u);
-      if (task == me) continue;
-      buckets_.push_once(task, qi, {gid, part});
-    }
+  for (const lid_t v : queue) {
+    const PartUpdate rec{g.gid_of(v), parts[v]};
+    for (const int task : g.ghost_holders(v)) buckets_.push(task, rec);
   }
 
   // buckets_ is not touched again until the next start()'s begin(),
@@ -52,7 +38,8 @@ void UpdateExchanger::finish(sim::Comm& comm, const graph::DistGraph& g,
   const std::span<const PartUpdate> recv = ex_.finish<PartUpdate>(comm);
 
   // Apply to ghosts. A received gid must be a ghost here: the sender
-  // saw one of our owned vertices in its neighborhood, so we see theirs.
+  // saw one of our owned vertices among its out- or in-neighbours, so
+  // the arc joining them made it a ghost here.
   for (const PartUpdate& rec : recv) {
     const lid_t l = g.lid_of(rec.gid);
     XTRA_ASSERT_MSG(l != kInvalidLid && !g.is_owned(l),

@@ -2,20 +2,22 @@
 // communication pattern.
 //
 // Each rank queues owned vertices whose part label changed this
-// superstep. For every queued vertex we send (gid, new_part) to each
-// *distinct* rank appearing in its neighborhood (the comm layer's
-// stamp mask is the paper's toSend mask), then apply the incoming
-// records to our ghost labels. The two passes over the queue around
-// prefix-summed offsets mirror Algorithm 3 exactly — they live in
-// comm::DestBuckets; the wire trip (optionally phased under a
-// max_send_bytes budget, per the paper's memory-bounded multi-phase
-// communication) lives in comm::Exchanger.
+// superstep. For every queued vertex we send (gid, new_part) once to
+// each rank that holds it as a ghost, then apply the incoming records
+// to our ghost labels. The paper's toSend mask (each vertex reaches
+// each rank once) is precomputed per vertex by
+// DistGraph::ghost_holders(), so an exchange never walks adjacency.
+// The two passes over the queue around prefix-summed offsets mirror
+// Algorithm 3 exactly — they live in comm::DestBuckets; the wire trip
+// (optionally phased under a max_send_bytes budget, per the paper's
+// memory-bounded multi-phase communication) lives in comm::Exchanger.
 #pragma once
 
 #include <vector>
 
 #include "comm/dest_buckets.hpp"
 #include "comm/exchanger.hpp"
+#include "core/params.hpp"
 #include "graph/dist_graph.hpp"
 #include "mpisim/comm.hpp"
 #include "util/types.hpp"
@@ -58,6 +60,13 @@ class UpdateExchanger {
   void finish(sim::Comm& comm, const graph::DistGraph& g,
               std::vector<part_t>& parts);
 
+  /// Apply the exchange settings of `params`: max_exchange_bytes,
+  /// shard_policy and backend.
+  void configure(const Params& params) {
+    ex_.set_max_send_bytes(params.max_exchange_bytes);
+    ex_.set_shard_policy(params.shard_policy);
+    ex_.set_backend(params.backend);
+  }
   void set_max_send_bytes(count_t bytes) { ex_.set_max_send_bytes(bytes); }
   void set_shard_policy(comm::ShardPolicy policy) {
     ex_.set_shard_policy(policy);
@@ -71,7 +80,7 @@ class UpdateExchanger {
   comm::Exchanger ex_;
 };
 
-/// One-shot convenience wrapper (init paths, tests): builds a scratch
+/// One-shot convenience wrapper: builds an unbounded, flat, two-sided
 /// UpdateExchanger per call. Hot loops should hold a persistent one.
 void exchange_updates(sim::Comm& comm, const graph::DistGraph& g,
                       std::vector<part_t>& parts,

@@ -1,6 +1,9 @@
 #include "core/state.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace xtra::core {
 
@@ -32,12 +35,31 @@ std::vector<count_t> compute_cut_sizes(sim::Comm& comm,
                                        const graph::DistGraph& g,
                                        const std::vector<part_t>& parts,
                                        part_t nparts) {
-  std::vector<count_t> sizes(static_cast<std::size_t>(nparts), 0);
-  for (lid_t v = 0; v < g.n_local(); ++v) {
-    const part_t pv = parts[v];
-    for (const lid_t u : g.arcs(v))
-      if (parts[u] != pv) ++sizes[static_cast<std::size_t>(pv)];
+  // Per-chunk integer partials: the sum is exact in any order, so the
+  // result does not depend on the thread count.
+  const auto np = static_cast<std::size_t>(nparts);
+  const auto n = static_cast<count_t>(g.n_local());
+  const count_t nchunks = par::chunk_count(n);
+  std::vector<count_t> partial(static_cast<std::size_t>(nchunks) * np, 0);
+  const auto count_chunk = [&](count_t c, count_t lo, count_t hi) {
+    count_t* cut = partial.data() + static_cast<std::size_t>(c) * np;
+    for (count_t i = lo; i < hi; ++i) {
+      const auto v = static_cast<lid_t>(i);
+      const part_t pv = parts[v];
+      for (const lid_t u : g.arcs(v))
+        if (parts[u] != pv) ++cut[static_cast<std::size_t>(pv)];
+    }
+  };
+  if (g.out_of_core()) {
+    // Segment borrows must stay on the rank thread (see PhaseScan).
+    for (count_t c = 0; c < nchunks; ++c)
+      count_chunk(c, c * par::kChunkGrain,
+                  std::min(n, (c + 1) * par::kChunkGrain));
+  } else {
+    par::for_chunks(n, count_chunk);
   }
+  std::vector<count_t> sizes(np, 0);
+  for (std::size_t k = 0; k < partial.size(); ++k) sizes[k % np] += partial[k];
   comm.allreduce_sum(sizes);
   return sizes;
 }

@@ -54,9 +54,7 @@ PartitionResult partition(sim::Comm& comm, const graph::DistGraph& g,
   PhaseState st;
   st.nparts = params.nparts;
   st.nprocs = comm.size();
-  st.exchanger.set_max_send_bytes(params.max_exchange_bytes);
-  st.exchanger.set_shard_policy(params.shard_policy);
-  st.exchanger.set_backend(params.backend);
+  st.exchanger.configure(params);
   st.x = params.mult_x;
   st.y = params.mult_y;
   st.i_tot = std::max(params.outer_iters *

@@ -61,6 +61,45 @@ count_t DistGraph::local_degree_sum() const {
   return sum;
 }
 
+void DistGraph::build_ghost_holders() const {
+  // A ghost's owner is a hash for random layouts: look each one up
+  // once here rather than once per arc in both passes.
+  std::vector<int> ghost_owner(n_ghost_);
+  for (lid_t u = 0; u < n_ghost_; ++u)
+    ghost_owner[u] = dist_.owner(lid_to_gid_[n_local_ + u]);
+  // listed_for[r] == v: rank r is already among v's holders.
+  std::vector<lid_t> listed_for(static_cast<std::size_t>(nranks()));
+  const auto for_each_holder = [&](lid_t v, auto&& emit) {
+    const auto visit = [&](const NeighborRef& nbrs) {
+      for (const lid_t u : nbrs) {
+        if (u < n_local_) continue;
+        const int r = ghost_owner[u - n_local_];
+        if (listed_for[static_cast<std::size_t>(r)] == v) continue;
+        listed_for[static_cast<std::size_t>(r)] = v;
+        emit(r);
+      }
+    };
+    visit(arcs(v));
+    if (directed_) visit(in_arcs(v));
+  };
+
+  // Pass 1 counts into the offsets array (one trailing 0), which the
+  // scan turns into the offsets; pass 2 fills at exact size.
+  holder_offsets_.assign(n_local_ + 1, 0);
+  std::fill(listed_for.begin(), listed_for.end(), kInvalidLid);
+  for (lid_t v = 0; v < n_local_; ++v)
+    for_each_holder(v, [&](int) { ++holder_offsets_[v]; });
+  holders_.resize(
+      static_cast<std::size_t>(exclusive_scan_inplace(holder_offsets_)));
+  std::fill(listed_for.begin(), listed_for.end(), kInvalidLid);
+  for (lid_t v = 0; v < n_local_; ++v) {
+    count_t next = holder_offsets_[v];
+    for_each_holder(v, [&](int r) {
+      holders_[static_cast<std::size_t>(next++)] = r;
+    });
+  }
+}
+
 void DistGraph::enable_out_of_core(sim::Comm& comm,
                                    const SegCacheOptions& opt) {
   XTRA_ASSERT_MSG(!segcache_, "out-of-core mode already enabled");

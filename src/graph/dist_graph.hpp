@@ -111,6 +111,22 @@ class DistGraph {
     return in_offsets_[l + 1] - in_offsets_[l];
   }
 
+  /// Ranks other than this one that hold owned vertex l as a ghost:
+  /// the distinct owners of its out-neighbours and, for directed
+  /// graphs, of its in-neighbours too, in first-seen arc order. These
+  /// are exactly the ranks that read l's label. Built on the first call
+  /// (two exact-size passes over the adjacency, so rank thread only)
+  /// and kept for the graph's lifetime; always empty on a one-rank
+  /// world.
+  std::span<const int> ghost_holders(lid_t l) const {
+    XTRA_DEBUG_ASSERT(l < n_local_);
+    if (nranks() == 1) return {};
+    if (holder_offsets_.empty()) build_ghost_holders();
+    return {holders_.data() + holder_offsets_[l],
+            static_cast<std::size_t>(holder_offsets_[l + 1] -
+                                     holder_offsets_[l])};
+  }
+
   /// All gids this rank stores, owned first then ghosts.
   const std::vector<gid_t>& lid_to_gid() const { return lid_to_gid_; }
 
@@ -151,6 +167,7 @@ class DistGraph {
                                     const VertexDist&);
   DistGraph(const VertexDist& dist, int rank)
       : dist_(dist), rank_(rank) {}
+  void build_ghost_holders() const;
 
   VertexDist dist_;
   int rank_;
@@ -176,6 +193,11 @@ class DistGraph {
   // steer prefetch; logically the graph is still read-only.
   mutable std::unique_ptr<SegmentCache> segcache_;
   count_t in_base_ = 0;
+
+  // ghost_holders() CSR over owned lids, empty until first use; a
+  // read-only cache of the adjacency, hence mutable.
+  mutable std::vector<count_t> holder_offsets_;  // n_local + 1
+  mutable std::vector<int> holders_;
 };
 
 /// Build the distributed graph collectively. Every rank passes the same

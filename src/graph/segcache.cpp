@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/parallel.hpp"
+
 namespace xtra::graph {
 
 void SegmentCache::Ref::release() {
@@ -209,6 +211,11 @@ void SegmentCache::maybe_prefetch(count_t just_used) {
 
 SegmentCache::Ref SegmentCache::borrow(count_t begin, count_t end) {
   XTRA_DEBUG_ASSERT(begin >= 0 && begin <= end && end <= total_entries_);
+  // The frame pool is unsynchronized and a remote miss is a substrate
+  // call, so out-of-core sweeps must run their chunks serially on the
+  // rank thread, never through par::for_chunks.
+  XTRA_ASSERT_MSG(!par::in_parallel_region(),
+                  "segment borrow inside a parallel region");
   Ref ref;
   if (begin == end) return ref;  // zero-degree: no fetch, no stats
   const count_t first = begin / seg_entries_;

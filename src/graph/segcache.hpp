@@ -132,6 +132,7 @@ class SegmentCache {
   SegmentCache& operator=(const SegmentCache&) = delete;
 
   /// Borrow entry range [begin, end) of the concatenated adjacency.
+  /// Rank thread only, outside any par::for_chunks region (asserted).
   Ref borrow(count_t begin, count_t end);
 
   /// Install / restart the prefetch plan: segment ids in expected

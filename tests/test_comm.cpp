@@ -66,24 +66,6 @@ TEST(DestBuckets, GroupsRecordsByDestinationInOrder) {
   EXPECT_EQ(b.total(), 3);
 }
 
-TEST(DestBuckets, StampDedupAdmitsOnePerDestinationPerKey) {
-  DestBuckets<int> b;
-  b.begin(2);
-  // Key 0 touches dest 1 three times -> one record; key 1 touches it
-  // again -> a second record (different key, not deduped).
-  EXPECT_TRUE(b.count_once(1, 0));
-  EXPECT_FALSE(b.count_once(1, 0));
-  EXPECT_FALSE(b.count_once(1, 0));
-  EXPECT_TRUE(b.count_once(1, 1));
-  b.commit();
-  EXPECT_TRUE(b.push_once(1, 0, 7));
-  EXPECT_FALSE(b.push_once(1, 0, 8));
-  EXPECT_FALSE(b.push_once(1, 0, 9));
-  EXPECT_TRUE(b.push_once(1, 1, 10));
-  EXPECT_EQ(b.counts(), (std::vector<count_t>{0, 2}));
-  EXPECT_EQ(b.records(), (std::vector<int>{7, 10}));
-}
-
 TEST(DestBuckets, EmptyBuildYieldsEmptyBuffers) {
   DestBuckets<int> b;
   b.begin(4);

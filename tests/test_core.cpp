@@ -318,6 +318,75 @@ TEST(Partition, AlternativeInitsWork) {
   }
 }
 
+// Each rank reads the labels of its owned vertices' out-neighbours, so
+// on a directed graph a moved vertex must reach the owners of its
+// in-neighbours too. Otherwise those ghosts keep kNoPart and the label
+// scan indexes NeighborCounts out of bounds.
+TEST(Partition, DirectedGraphKeepsGhostLabelsConsistent) {
+  const EdgeList el = gen::webcrawl(4000, 8, 3);
+  ASSERT_TRUE(el.directed);
+  for (const int nranks : {2, 3}) {
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 5));
+      Params params;
+      params.nparts = 4;
+      const PartitionResult r = partition(comm, g, params);
+      EXPECT_TRUE(check_partition_consistent(comm, g, r.parts, params.nparts))
+          << nranks << " ranks";
+    });
+  }
+}
+
+// Every init strategy exchanges under the run's exchange settings: a
+// byte bound splits the random/block inits' all-ghost sync into more
+// phases, and hierarchical sharding adds node-local legs to every
+// strategy's exchanges. Neither changes a label.
+TEST(Init, HonorsExchangeSettingsOfParams) {
+  const EdgeList el = gen::community_graph(1500, 8, 0.6, 2.3, 2);
+  const auto run = [&](InitStrategy init, count_t bound,
+                       comm::ShardPolicy policy) {
+    std::vector<part_t> labels;
+    count_t collectives = 0;
+    sim::run_world(
+        4,
+        [&](sim::Comm& comm) {
+          const DistGraph g =
+              build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
+          Params params;
+          params.nparts = 4;
+          params.init = init;
+          params.max_exchange_bytes = bound;
+          params.shard_policy = policy;
+          const count_t before = comm.stats().collectives;
+          const std::vector<part_t> parts = initialize_parts(comm, g, params);
+          const count_t used = comm.stats().collectives - before;
+          const std::vector<part_t> global =
+              gather_global_parts(comm, g, parts);
+          if (comm.rank() == 0) {
+            labels = global;
+            collectives = used;
+          }
+        },
+        /*ranks_per_node=*/2);
+    return std::make_pair(labels, collectives);
+  };
+  constexpr auto kFlat = comm::ShardPolicy::kFlat;
+  constexpr auto kHier = comm::ShardPolicy::kHierarchical;
+  for (const InitStrategy init :
+       {InitStrategy::kBfsGrowing, InitStrategy::kRandom,
+        InitStrategy::kBlock}) {
+    const auto [ref, ref_collectives] = run(init, 0, kFlat);
+    const auto [hier, hier_collectives] = run(init, 0, kHier);
+    EXPECT_EQ(hier, ref);
+    EXPECT_GT(hier_collectives, ref_collectives);
+    if (init == InitStrategy::kBfsGrowing) continue;
+    const auto [bounded, bounded_collectives] = run(init, 256, kFlat);
+    EXPECT_EQ(bounded, ref);
+    EXPECT_GT(bounded_collectives, ref_collectives);
+  }
+}
+
 TEST(Partition, AblationFlagsWork) {
   const EdgeList el = gen::community_graph(1500, 8, 0.6, 2.3, 2);
   sim::run_world(2, [&](sim::Comm& comm) {

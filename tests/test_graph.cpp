@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "gen/generators.hpp"
 #include "graph/bfs.hpp"
 #include "graph/dist.hpp"
 #include "graph/dist_graph.hpp"
@@ -251,6 +252,39 @@ TEST_P(DistGraphRanks, DirectedBuildSeparatesInAndOut) {
       }
     }
   });
+}
+
+// ghost_holders(v) lists each rank that stores owned v as a ghost,
+// once, and no other rank. On a directed graph that includes the
+// owners of v's in-neighbours: they read v's label through their own
+// out-lists.
+TEST_P(DistGraphRanks, GhostHoldersAreExactlyTheRanksHoldingTheGhost) {
+  const int nranks = GetParam();
+  for (const bool directed : {false, true}) {
+    EdgeList el = gen::webcrawl(300, 6, 4);
+    if (!directed) el = symmetrized(el);
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 3));
+      struct Held {
+        gid_t gid;
+        int rank;
+      };
+      std::vector<Held> mine;
+      for (lid_t v = g.n_local(); v < g.n_total(); ++v)
+        mine.push_back({g.gid_of(v), comm.rank()});
+      std::map<gid_t, std::set<int>> holders;
+      for (const Held& h : comm.allgatherv(mine))
+        holders[h.gid].insert(h.rank);
+      for (lid_t v = 0; v < g.n_local(); ++v) {
+        const std::span<const int> got = g.ghost_holders(v);
+        const std::set<int> got_set(got.begin(), got.end());
+        EXPECT_EQ(got_set.size(), got.size()) << "duplicate holder";
+        EXPECT_EQ(got_set, holders[g.gid_of(v)])
+            << "gid " << g.gid_of(v) << (directed ? " directed" : "");
+      }
+    });
+  }
 }
 
 TEST(DistGraphEdge, MoreRanksThanVertices) {

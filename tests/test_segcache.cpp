@@ -372,7 +372,10 @@ TEST(SegCacheMatrix, WccBitIdenticalAndWireLedgerEqualUnderPressure) {
 // Partition + PageRank + WCC on one graph whose adjacency is >= 4x
 // the cache budget: results bit-identical, engine wire ledger equal,
 // and (mmap only — remote fetches are themselves wire traffic) the
-// substrate byte total equal too.
+// substrate byte total equal too. The out-of-core runs repeat at four
+// threads: the partitioner's parallel passes must fall back to their
+// serial chunk loops, so labels and the partition's comm bytes still
+// equal the in-core run's.
 TEST(SegCacheAcceptance, PartitionPageRankWccBitIdenticalBothBackings) {
   const EdgeList el = gen::community_graph(1'200, 12, 0.7, 2.3, 7);
   struct Reference {
@@ -381,8 +384,9 @@ TEST(SegCacheAcceptance, PartitionPageRankWccBitIdenticalBothBackings) {
     std::vector<gid_t> comp;
     std::vector<count_t> pr_wire, wcc_wire;
     count_t comm_bytes = -1;
+    count_t partition_bytes = -1;
   } ref;
-  const auto run = [&](SegBacking backing, bool ooc) {
+  const auto run = [&](SegBacking backing, bool ooc, int threads) {
     sim::run_world(
         4,
         [&](sim::Comm& comm) {
@@ -402,8 +406,11 @@ TEST(SegCacheAcceptance, PartitionPageRankWccBitIdenticalBothBackings) {
           const count_t bytes0 = comm.stats().bytes_sent;
           core::Params params;
           params.nparts = 8;
+          params.num_threads = threads;
           const core::PartitionResult pr =
               core::partition(comm, g, params);
+          const count_t partition_bytes =
+              comm.allreduce_sum(pr.comm_bytes);
           PageRankProgram prog;
           engine::Config cfg;
           cfg.max_supersteps = 12;
@@ -434,10 +441,12 @@ TEST(SegCacheAcceptance, PartitionPageRankWccBitIdenticalBothBackings) {
             ref.pr_wire = pr_wire;
             ref.wcc_wire = wcc_wire;
             ref.comm_bytes = total_bytes;
+            ref.partition_bytes = partition_bytes;
             return;
           }
-          const char* tag =
-              backing == SegBacking::kMmap ? "mmap" : "remote";
+          const std::string tag =
+              std::string(backing == SegBacking::kMmap ? "mmap" : "remote") +
+              " t" + std::to_string(threads);
           EXPECT_EQ(parts, ref.parts) << tag;
           EXPECT_EQ(rank, ref.rank) << tag;
           EXPECT_EQ(comp, ref.comp) << tag;
@@ -446,16 +455,19 @@ TEST(SegCacheAcceptance, PartitionPageRankWccBitIdenticalBothBackings) {
           if (backing == SegBacking::kMmap) {
             // Spill fetches never touch the substrate: the run's
             // total wire bytes are exactly the in-core run's.
-            EXPECT_EQ(total_bytes, ref.comm_bytes);
+            EXPECT_EQ(total_bytes, ref.comm_bytes) << tag;
+            EXPECT_EQ(partition_bytes, ref.partition_bytes) << tag;
           } else {
-            EXPECT_GT(total_bytes, ref.comm_bytes);
+            EXPECT_GT(total_bytes, ref.comm_bytes) << tag;
           }
         },
         /*ranks_per_node=*/2);
   };
-  run(SegBacking::kMmap, /*ooc=*/false);  // reference
-  run(SegBacking::kMmap, /*ooc=*/true);
-  run(SegBacking::kRemote, /*ooc=*/true);
+  run(SegBacking::kMmap, /*ooc=*/false, 1);  // reference
+  for (const int threads : {1, 4}) {
+    run(SegBacking::kMmap, /*ooc=*/true, threads);
+    run(SegBacking::kRemote, /*ooc=*/true, threads);
+  }
 }
 
 // Frontier engine under pressure: the per-level plan is rebuilt from
